@@ -6,7 +6,7 @@
 //!   index (per-insert cost is O(coreset_k) distance evals; no rebuilds
 //!   on this path).
 //! * `serving/query-warm/kmix` — one k-center + k-diversity pair against
-//!   a live snapshot whose memo and answer caches are hot (the steady
+//!   a live snapshot whose answer caches are hot (the steady
 //!   high-QPS state; mixed `k` keeps the answer cache from trivializing
 //!   it, matching `examples/serving_diversification.rs`). Criterion's
 //!   sample distribution over this id is the query p50/p95 record.
@@ -68,7 +68,7 @@ fn bench_serving(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("query-warm", "kmix"), |b| {
         let mut index = filled_index(&points, N);
         let mut snap = index.snapshot();
-        // Prime memo + caches once; iterations then measure the steady
+        // Prime the caches once; iterations then measure the steady
         // high-QPS state (cache hits plus occasional re-walks).
         for k in 2..11 {
             snap.kcenter(k);

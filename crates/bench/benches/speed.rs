@@ -17,7 +17,7 @@
 //! matches production shape (the ladder reuses one space across rungs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpc_metric::{datasets, EuclideanSpace, MetricSpace, PointId, SpeedTier};
+use mpc_metric::{datasets, EuclideanSpace, MetricSpace, SpeedTier};
 use rayon::with_threads;
 
 fn bench_speed(c: &mut Criterion) {
@@ -41,36 +41,6 @@ fn bench_speed(c: &mut Criterion) {
         }
     }
 
-    // Multi-τ ladder sweep per tier, on the exact workload of
-    // `ladder/multitau-d32-n100000-q32/t1` in `BENCH_ladder.json` (same
-    // dataset seed, queries, and 6-rung schedule), so the two groups are
-    // directly comparable: the ISSUE 8 acceptance criterion requires
-    // `speed/ladder_taus-…/soa+sketch` ≥ 2× faster than that baseline
-    // median.
-    {
-        let (dim, n, q) = (32usize, 100_000usize, 32usize);
-        let candidates: Vec<u32> = (0..n as u32).collect();
-        let vs: Vec<u32> = (0..q).map(|i| (i * 7919 % n) as u32).collect();
-        for tier in tiers {
-            let metric =
-                EuclideanSpace::new(datasets::uniform_cube(n, dim, 7)).with_speed_tier(tier);
-            let base = mpc_bench::distance_quantile(&metric, 0.2, 7);
-            let rungs: Vec<f64> = (0..6).map(|i| base * 1.1f64.powi(i)).collect();
-            group.bench_with_input(
-                BenchmarkId::new(format!("ladder_taus-d{dim}-n{n}-q{q}"), tier.name()),
-                &tier,
-                |b, _| {
-                    b.iter(|| {
-                        with_threads(1, || {
-                            vs.iter()
-                                .map(|&v| metric.count_within_taus(PointId(v), &candidates, &rungs))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                },
-            );
-        }
-    }
     group.finish();
 }
 

@@ -8,8 +8,7 @@
 //! ([`BoundarySearch`]). Before this module the three algorithms each
 //! carried their own copy of the cache-vector + eval-closure + probe-loop
 //! driver; [`LadderSearch`] is that driver extracted once, so rung
-//! caching, probe accounting, and the memo pre-warm hook
-//! ([`RungEval::prewarm`]) are shared.
+//! caching and probe accounting are shared.
 //!
 //! The probe schedules are bit-compatible with the loops they replaced:
 //! for a given mode, strategy, and accept sequence, the same rungs are
@@ -59,14 +58,6 @@ pub trait RungEval {
     /// any probe order, and seeded rungs are judged without `eval` having
     /// run.
     fn accept(&self, i: usize, rung: &Self::Rung) -> bool;
-
-    /// Called once, before the first probe, with every rung index the
-    /// schedule could still evaluate (at least two, else the hook is
-    /// skipped). Implementations use it to register the rung thresholds
-    /// with [`crate::memo::MemoizedSpace::prewarm_taus`] so sorted
-    /// companion rows are built from each distance vector's first touch.
-    /// Purely a local-compute hint; must not touch the cluster.
-    fn prewarm(&mut self, _reachable: &[usize]) {}
 }
 
 /// The rung cache plus probe bookkeeping for one ladder search.
@@ -157,10 +148,6 @@ impl<R> LadderSearch<R> {
         strategy: BoundarySearch,
     ) -> usize {
         let t = self.top();
-        if t >= 2 {
-            let unevaluated: Vec<usize> = (0..=t).filter(|&i| self.cache[i].is_none()).collect();
-            eval.prewarm(&unevaluated);
-        }
         match (mode, strategy) {
             (BoundaryMode::LastAccept, BoundarySearch::Binary) => {
                 if self.accept_at(cluster, eval, t) {
@@ -219,7 +206,6 @@ mod tests {
         accept: fn(usize, usize) -> bool,
         boundary: usize,
         evaluated: Vec<usize>,
-        prewarmed: Vec<Vec<usize>>,
     }
 
     impl Stub {
@@ -228,7 +214,6 @@ mod tests {
                 accept,
                 boundary,
                 evaluated: Vec::new(),
-                prewarmed: Vec::new(),
             }
         }
     }
@@ -242,13 +227,6 @@ mod tests {
         fn accept(&self, i: usize, rung: &usize) -> bool {
             assert_eq!(i, *rung, "accept must see rung {i}'s own payload");
             (self.accept)(i, self.boundary)
-        }
-        fn prewarm(&mut self, reachable: &[usize]) {
-            assert!(
-                self.evaluated.is_empty(),
-                "prewarm must precede the first eval"
-            );
-            self.prewarmed.push(reachable.to_vec());
         }
     }
 
@@ -392,33 +370,5 @@ mod tests {
             BoundarySearch::Binary,
         );
         assert_eq!(stub.evaluated, vec![4, 6, 5]);
-    }
-
-    /// `prewarm` fires once, before any probe, with exactly the
-    /// unevaluated rung indices; ladders too short to profit (t < 2) skip
-    /// it.
-    #[test]
-    fn prewarm_reports_unevaluated_rungs_before_probing() {
-        // (Stub::prewarm itself asserts it runs before the first eval.)
-        let mut stub = Stub::new(|i, b| i <= b, 2);
-        let mut search = LadderSearch::new(4);
-        search.seed(0, 0);
-        search.search(
-            &mut cluster(),
-            &mut stub,
-            BoundaryMode::LastAccept,
-            BoundarySearch::Binary,
-        );
-        assert_eq!(stub.prewarmed, vec![vec![1, 2, 3, 4]]);
-
-        let mut stub = Stub::new(|i, b| i <= b, 0);
-        let mut search = LadderSearch::new(1);
-        search.search(
-            &mut cluster(),
-            &mut stub,
-            BoundaryMode::LastAccept,
-            BoundarySearch::Linear,
-        );
-        assert!(stub.prewarmed.is_empty(), "t=1 ladders skip the hook");
     }
 }

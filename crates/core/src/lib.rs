@@ -32,12 +32,10 @@ pub mod kbmis;
 pub mod kcenter;
 pub mod ksupplier;
 pub mod ladder;
-pub mod memo;
 pub mod params;
 pub mod telemetry;
 pub mod verify;
 
 pub use grid::KCenterEngine;
-pub use memo::MemoStats;
 pub use params::{BoundarySearch, Params, PartitionStrategy};
-pub use telemetry::{PhaseTimes, Telemetry};
+pub use telemetry::{MemoStats, PhaseTimes, Telemetry};

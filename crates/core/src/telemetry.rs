@@ -3,7 +3,20 @@
 use mpc_metric::KernelStats;
 use mpc_sim::{Ledger, WireSummary};
 
-use crate::memo::MemoStats;
+/// Counters of the former ladder distance memo. Kept for the end-to-end
+/// benchmark, which still reads [`Telemetry::memo`]; goes away in the next
+/// benchmark change. Nothing fills it any more.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Bulk queries answered from cache.
+    pub hits: u64,
+    /// Bulk queries that had to compute their distance vector.
+    pub misses: u64,
+    /// Cache flushes forced by a capacity cap.
+    pub flushes: u64,
+    /// `f64`-equivalent words held by cached rows.
+    pub stored_words: usize,
+}
 
 /// Coarse wall-clock phase breakdown of one end-to-end run, in seconds:
 /// the coarse estimate (GMM coresets + covering radius), the τ-ladder
@@ -54,15 +67,15 @@ pub struct Telemetry {
     /// Accept-predicate probes issued by the boundary search, including
     /// rung-cache hits; 0 for runs without a ladder.
     pub ladder_probes: u64,
-    /// Distance-memo cache snapshot taken when the ladder finished; `None`
-    /// for runs without a ladder. Local-compute observability only — the
-    /// memo never touches the ledger.
+    /// Always `None`: ladder rungs query the metric directly. Kept for the
+    /// end-to-end benchmark, which still reads it; goes away in the next
+    /// benchmark change.
     pub memo: Option<MemoStats>,
     /// Metric-space fast-path kernel tallies snapshotted when the run
     /// finished; `None` when the space keeps none (exact tier, or a
     /// non-SIMD space). Cumulative per space, so a run's own hits are the
     /// delta against a snapshot taken at its start. Local-compute
-    /// observability only, like `memo`.
+    /// observability only; never part of the ledger.
     pub kernels: Option<KernelStats>,
     /// Transport wire measurements: per-run byte totals plus
     /// encode/decode/transit wall-clock, stamped by drivers from

@@ -83,8 +83,9 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
     }
 
     /// One multi-query metric kernel call for the whole grid
-    /// ([`MetricSpace::count_within_many`] — tiled on coordinate-backed
-    /// spaces, memo-served on `MemoizedSpace`), then a self-pair fixup:
+    /// ([`MetricSpace::count_within_many`] — tiled, and SIMD-classified at
+    /// the SoA speed tiers, on coordinate-backed spaces), then a self-pair
+    /// fixup:
     /// τ ≥ 0 means every occurrence of a query vertex in `candidates` was
     /// counted within threshold, but the graph is irreflexive. Candidate
     /// multiplicities are tallied once for the batch (restricted to ids

@@ -93,23 +93,6 @@ impl<M: MetricSpace> MetricSpace for CountingSpace<M> {
         self.inner.neighbors_within_many(vs, candidates, tau)
     }
 
-    /// Forwards the batch to the inner multi-τ kernel, charging
-    /// `|candidates| × |taus|` oracle calls — what the per-τ loop would
-    /// charge — so the one-pass rung sweep stays invisible to evaluation
-    /// counts.
-    fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
-        self.calls
-            .fetch_add((candidates.len() * taus.len()) as u64, Ordering::Relaxed);
-        self.inner.count_within_taus(v, candidates, taus)
-    }
-
-    /// See [`CountingSpace::count_within_taus`] on this impl.
-    fn neighbors_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<Vec<u32>> {
-        self.calls
-            .fetch_add((candidates.len() * taus.len()) as u64, Ordering::Relaxed);
-        self.inner.neighbors_within_taus(v, candidates, taus)
-    }
-
     /// One oracle call per filled entry.
     fn dists_into(&self, v: PointId, candidates: &[u32], out: &mut Vec<f64>) {
         self.calls

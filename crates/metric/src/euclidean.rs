@@ -1,6 +1,5 @@
 //! Euclidean (L2) metric over flat point storage.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -37,6 +36,14 @@ fn tile_len(dim: usize, bytes_per_coord: usize) -> usize {
 const GRAM_MIN_DIM: usize = 16;
 
 /// The Euclidean metric `d(x, y) = ||x - y||_2` over a [`PointSet`].
+///
+/// **Threshold comparison.** Every threshold entry point — [`within`],
+/// the single- and multi-query bulk kernels, at every [`SpeedTier`] —
+/// decides adjacency as `dist_sq(u, v) <= τ²` (and `false` for `τ < 0`),
+/// never as `dist(u, v) <= τ`. The two can differ by one ulp near the
+/// boundary, so `within(u, v, dist(u, v))` is not guaranteed to hold.
+///
+/// [`within`]: MetricSpace::within
 #[derive(Debug, Clone)]
 pub struct EuclideanSpace {
     points: PointSet,
@@ -63,8 +70,6 @@ pub struct EuclideanSpace {
 struct KernelCounters {
     run_pairs: AtomicU64,
     indexed_pairs: AtomicU64,
-    taus_run_pairs: AtomicU64,
-    taus_indexed_pairs: AtomicU64,
     sketch_rejects: AtomicU64,
     exact_fallbacks: AtomicU64,
 }
@@ -77,9 +82,6 @@ impl Clone for KernelCounters {
         let c = Self::default();
         c.run_pairs.store(s.run_pairs, Ordering::Relaxed);
         c.indexed_pairs.store(s.indexed_pairs, Ordering::Relaxed);
-        c.taus_run_pairs.store(s.taus_run_pairs, Ordering::Relaxed);
-        c.taus_indexed_pairs
-            .store(s.taus_indexed_pairs, Ordering::Relaxed);
         c.sketch_rejects.store(s.sketch_rejects, Ordering::Relaxed);
         c.exact_fallbacks
             .store(s.exact_fallbacks, Ordering::Relaxed);
@@ -92,8 +94,6 @@ impl KernelCounters {
         KernelStats {
             run_pairs: self.run_pairs.load(Ordering::Relaxed),
             indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
-            taus_run_pairs: self.taus_run_pairs.load(Ordering::Relaxed),
-            taus_indexed_pairs: self.taus_indexed_pairs.load(Ordering::Relaxed),
             sketch_rejects: self.sketch_rejects.load(Ordering::Relaxed),
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
             ..KernelStats::default()
@@ -108,25 +108,6 @@ impl KernelCounters {
             &self.indexed_pairs
         };
         ctr.fetch_add(pairs as u64, Ordering::Relaxed);
-        if sketch_rejects > 0 {
-            self.sketch_rejects
-                .fetch_add(sketch_rejects as u64, Ordering::Relaxed);
-        }
-        if exact > 0 {
-            self.exact_fallbacks
-                .fetch_add(exact as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds one multi-τ chunk scan into the tally.
-    fn record_taus(&self, run: usize, indexed: usize, sketch_rejects: usize, exact: usize) {
-        if run > 0 {
-            self.taus_run_pairs.fetch_add(run as u64, Ordering::Relaxed);
-        }
-        if indexed > 0 {
-            self.taus_indexed_pairs
-                .fetch_add(indexed as u64, Ordering::Relaxed);
-        }
         if sketch_rejects > 0 {
             self.sketch_rejects
                 .fetch_add(sketch_rejects as u64, Ordering::Relaxed);
@@ -273,10 +254,6 @@ struct SketchSieve {
     ids: Vec<u32>,
     /// Their positions within the tile (parallel to `ids`).
     pos: Vec<u32>,
-    /// Multi-τ survivors' certified entry-index floors (parallel to `ids`
-    /// in [`SketchSieve::prefilter_taus`]): rung `mins[k] − 1` and below
-    /// are sketch-certified rejects for `ids[k]`.
-    mins: Vec<u8>,
     /// Pairs this scan has sketch-judged so far.
     tested: usize,
     /// How many of them the sketch certified as rejects.
@@ -284,18 +261,9 @@ struct SketchSieve {
 }
 
 impl SketchSieve {
-    /// Rewinds the adaptive on/off state for a fresh scan. Hoisted sieves
-    /// (see `TauScratch`) call this per kernel chunk so reuse across calls
-    /// cannot change where the sketch switches off — the adaptivity stays
-    /// a function of the scan alone, exactly as a freshly-allocated sieve.
-    fn reset(&mut self) {
-        self.tested = 0;
-        self.rejected = 0;
-    }
-
     /// Sketch-prefilters `tile`: batch-computes lower bounds and keeps the
     /// candidates the sketch cannot certify as rejected at squared
-    /// threshold `t2` (callers with several rungs pass the largest).
+    /// threshold `t2`.
     /// Returns `(survivor_ids, Some(their_tile_positions))`, or the whole
     /// tile with `None` when the sketch was skipped. Certified rejects are
     /// exactly the pairs [`Sketch::certified_reject`] rejects, so dropping
@@ -348,82 +316,6 @@ impl SketchSieve {
         }
         (&self.ids, Some(&self.pos))
     }
-
-    /// Multi-τ twin of [`SketchSieve::prefilter`]: one batched
-    /// lower-bound pass yields a certified **entry-index floor** per
-    /// survivor instead of a single keep/drop bit. A certified rejection
-    /// at rung `j` (`lb2 · margin > t2s[j]`) proves `d² > t2s[j]`, so the
-    /// pair's entry index is at least `j + 1`; since the predicate is
-    /// monotone over the ascending `t2s`, the floor is a partition point.
-    /// Candidates floored past the last rung are dropped outright —
-    /// exactly the pairs the single-τ sieve would reject at the top rung,
-    /// which is also what the adaptivity counters keep tracking (partial
-    /// floors ride along for free; only full rejects pay for popcounts).
-    /// Returns `(survivor_ids, Some(their_floors))`, or the whole tile
-    /// with `None` when the sketch was skipped.
-    fn prefilter_taus<'a>(
-        &'a mut self,
-        fast: &Fast<'_>,
-        fq: &FastQuery<'_>,
-        tile: &'a [u32],
-        t2s: &[f64],
-    ) -> (&'a [u32], Option<&'a [u8]>) {
-        let (Some(sk), Some(qa)) = (fast.sketch, fq.qsk) else {
-            return (tile, None);
-        };
-        if self.tested >= SIEVE_SAMPLE && self.rejected * SIEVE_MIN_RATE < self.tested {
-            return (tile, None);
-        }
-        let top = *t2s.last().expect("prefilter_taus requires rungs");
-        self.lb2.resize(tile.len(), 0.0);
-        sk.lower_bounds_sq_indexed(qa, tile, &mut self.lb2);
-        let margin = sk.margin();
-        let rejects = self.lb2.iter().filter(|&&lb2| lb2 * margin > top).count();
-        self.tested += tile.len();
-        self.rejected += rejects;
-        // Same compaction threshold as the single-τ sieve: a near-empty
-        // full-reject set is not worth breaking the contiguous run over.
-        if rejects * 8 < tile.len() {
-            return (tile, None);
-        }
-        self.ids.clear();
-        self.mins.clear();
-        for (&c, &lb2) in tile.iter().zip(&self.lb2) {
-            // First rung the sketch cannot certify-reject; NaN bounds
-            // compare false everywhere and land at floor 0 (survivor).
-            let floor = t2s.partition_point(|&t2| lb2 * margin > t2);
-            if floor < t2s.len() {
-                self.ids.push(c);
-                self.mins.push(floor as u8);
-            }
-        }
-        (&self.ids, Some(&self.mins))
-    }
-}
-
-/// Reusable multi-τ kernel scratch, one per worker thread: the squared
-/// rungs, the sketch sieve, and the per-tile class/dot buffers the
-/// `scan_rungs` paths fill. Hoisting these out of the per-call (and
-/// per-chunk) hot paths removes every allocation from the τ-sweep except
-/// the output vectors themselves.
-#[derive(Default)]
-struct TauScratch {
-    /// Squared non-negative rungs (`EuclideanSpace::with_t2s`).
-    t2s: Vec<f64>,
-    /// Sketch sieve state + buffers (reset per chunk scan).
-    sieve: SketchSieve,
-    /// Per-tile rung-entry bytes from the `*_taus` kernels.
-    classes: Vec<u8>,
-    /// Per-tile f64 dots for the Gram (non-SoA) path.
-    dots64: Vec<f64>,
-}
-
-thread_local! {
-    /// Per-thread [`TauScratch`]. Thread-local rather than per-call so the
-    /// parallel chunk closures reuse buffers across chunks *and* across
-    /// kernel calls; the buffers never carry data between uses, so reuse
-    /// is invisible to results.
-    static TAU_SCRATCH: RefCell<TauScratch> = RefCell::new(TauScratch::default());
 }
 
 impl EuclideanSpace {
@@ -669,185 +561,6 @@ impl EuclideanSpace {
         }
         rows
     }
-
-    /// Multi-τ single-query scan: classifies each candidate in `chunk`
-    /// into its entry rung against the ascending squared thresholds `t2s`
-    /// and emits `(candidate, entry)` for candidates some rung admits.
-    ///
-    /// Per pair the Gram estimate and norms are computed **once** and
-    /// judged against each rung's own error band — vectorized across both
-    /// pairs and rungs on the SoA tiers ([`simd::classify_f32_run_taus`] /
-    /// [`simd::classify_f32_indexed_taus`]), a scalar rung walk on the f64
-    /// Gram path — with the exact [`EuclideanSpace::row_dist_sq`] deciding
-    /// any pair whose ladder had a band hit. Each rung's verdict is
-    /// therefore exactly `dist_sq <= t2s[j]` — the scalar kernel's — and
-    /// since `t2s` is non-decreasing the verdict sequence is monotone, so
-    /// the first admitting rung fully describes all of them.
-    fn scan_rungs(
-        &self,
-        fast: Option<&Fast<'_>>,
-        v: u32,
-        chunk: &[u32],
-        t2s: &[f64],
-        mut emit: impl FnMut(u32, usize),
-    ) {
-        let dim = self.points.dim();
-        let data = self.points.raw();
-        let norms = &self.sq_norms;
-        let a = &data[v as usize * dim..(v as usize + 1) * dim];
-        let na = norms[v as usize];
-        let band_scale = (4.0 * dim as f64 + 32.0) * f64::EPSILON;
-        let gram = dim >= GRAM_MIN_DIM;
-        // Ladders longer than the u8 entry encoding fall back to the Gram
-        // path below — verdict-identical, and far beyond any real sweep.
-        let fast = fast.filter(|_| t2s.len() <= simd::MAX_RUNGS);
-        if let Some(fast) = fast {
-            // SoA tiers: one batched rung-entry classification per tile —
-            // each f32 dot is computed once (contiguous tiles through the
-            // dimension-major run kernel, gathered tiles through the
-            // 4-blocked indexed kernel) and bucketed against every rung's
-            // own f32 band in vector code. Certain entries are emitted
-            // as-is (they provably equal the exact sweep's first admitting
-            // rung); band hits re-derive the entry from the exact f64
-            // distance. The sketch contributes per-pair entry floors:
-            // a certified lb² rejection at rung `j` skips rungs `≤ j`,
-            // and pairs floored past the top rung are dropped outright.
-            let fq = fast.query(v as usize, data, dim);
-            let top = *t2s.last().expect("scan_rungs requires rungs");
-            let soa = fast.soa;
-            let (mut run, mut indexed, mut sketched, mut exact_hits) =
-                (0usize, 0usize, 0usize, 0usize);
-            TAU_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                let TauScratch { sieve, classes, .. } = scratch;
-                sieve.reset();
-                for tile in chunk.chunks(tile_len(dim, 4)) {
-                    let (surv, mins) = sieve.prefilter_taus(fast, &fq, tile, t2s);
-                    classes.resize(surv.len(), 0);
-                    if mins.is_none() && is_contiguous_run(surv) {
-                        simd::classify_f32_run_taus(
-                            fq.a32,
-                            soa.cols(),
-                            soa.col_stride(),
-                            soa.raw(),
-                            soa.norms(),
-                            dim,
-                            surv[0] as usize,
-                            fq.na32,
-                            t2s,
-                            fast.band_scale,
-                            classes,
-                        );
-                        run += surv.len();
-                    } else {
-                        simd::classify_f32_indexed_taus(
-                            fq.a32,
-                            soa.raw(),
-                            soa.norms(),
-                            dim,
-                            surv,
-                            fq.na32,
-                            t2s,
-                            fast.band_scale,
-                            mins,
-                            classes,
-                        );
-                        indexed += surv.len();
-                    }
-                    sketched += tile.len() - surv.len();
-                    for (&c, &cl) in surv.iter().zip(&*classes) {
-                        match cl {
-                            simd::RUNG_NONE => {}
-                            simd::RUNG_EXACT => {
-                                // Some rung's verdict sat inside its band:
-                                // re-derive the entry from the exact
-                                // distance. `!(ds <= top)` also sheds NaN
-                                // distances, which no rung admits.
-                                exact_hits += 1;
-                                let b = &data[c as usize * dim..c as usize * dim + dim];
-                                let ds = Self::row_dist_sq(a, b);
-                                if ds <= top {
-                                    emit(c, t2s.partition_point(|&t2| t2 < ds));
-                                }
-                            }
-                            entry => emit(c, entry as usize),
-                        }
-                    }
-                }
-            });
-            fast.counters
-                .record_taus(run, indexed, sketched, exact_hits);
-            return;
-        }
-        if gram {
-            TAU_SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                let dots64 = &mut scratch.dots64;
-                for tile in chunk.chunks(tile_len(dim, 8)) {
-                    dots64.resize(tile.len(), 0.0);
-                    simd::dots_f64_indexed(a, data, dim, tile, dots64);
-                    for (&c, &dot) in tile.iter().zip(&*dots64) {
-                        let nb = norms[c as usize];
-                        let g = na + nb - 2.0 * dot;
-                        let mut exact = f64::NAN;
-                        let mut have_exact = false;
-                        for (j, &t2) in t2s.iter().enumerate() {
-                            let band = band_scale * (na + nb + t2);
-                            let keep = if g <= t2 - band {
-                                true
-                            } else if g > t2 + band {
-                                false
-                            } else {
-                                if !have_exact {
-                                    let b = &data[c as usize * dim..c as usize * dim + dim];
-                                    exact = Self::row_dist_sq(a, b);
-                                    have_exact = true;
-                                }
-                                exact <= t2
-                            };
-                            if keep {
-                                emit(c, j);
-                                break;
-                            }
-                        }
-                    }
-                }
-            });
-            return;
-        }
-        for &c in chunk {
-            let b = &data[c as usize * dim..c as usize * dim + dim];
-            let ds = Self::row_dist_sq(a, b);
-            // First rung with t2 >= ds, i.e. ds <= t2 — the scalar
-            // verdict. `!(ds <= last)` also sheds NaN distances, which
-            // no rung admits.
-            if t2s.last().is_some_and(|&last| ds <= last) {
-                emit(c, t2s.partition_point(|&t2| t2 < ds));
-            }
-        }
-    }
-
-    /// Splits the non-decreasing `taus` into the negative prefix (always
-    /// empty/zero rungs — the scalar kernels return nothing for τ < 0) and
-    /// the squared non-negative suffix, handing `f` the prefix length and
-    /// the squared rungs. The rung buffer is borrowed from the calling
-    /// thread's [`TauScratch`] (taken out for the duration of `f`, so the
-    /// chunk closures `f` fans out — possibly onto this same thread — can
-    /// still borrow the scratch for their own buffers) and returned after,
-    /// so repeated sweeps allocate nothing.
-    fn with_t2s<R>(taus: &[f64], f: impl FnOnce(usize, &[f64]) -> R) -> R {
-        debug_assert!(
-            taus.windows(2).all(|w| w[0] <= w[1]),
-            "multi-τ kernels require non-decreasing thresholds"
-        );
-        let mut t2s = TAU_SCRATCH.with(|cell| std::mem::take(&mut cell.borrow_mut().t2s));
-        t2s.clear();
-        let j0 = taus.partition_point(|&t| t < 0.0);
-        t2s.extend(taus[j0..].iter().map(|&t| t * t));
-        let out = f(j0, &t2s);
-        TAU_SCRATCH.with(|cell| cell.borrow_mut().t2s = t2s);
-        out
-    }
 }
 
 impl MetricSpace for EuclideanSpace {
@@ -1019,121 +732,9 @@ impl MetricSpace for EuclideanSpace {
         }
     }
 
-    /// Multi-τ kernel over one candidate pass (see
-    /// `EuclideanSpace::scan_rungs`): norms and the Gram dot product are
-    /// computed once per pair and classified against every rung, instead of
-    /// once per rung. Chunked counts combine by elementwise integer sums,
-    /// so the parallel path equals the sequential scan exactly.
-    fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
-        let mut counts = vec![0usize; taus.len()];
-        Self::with_t2s(taus, |j0, t2s| {
-            if t2s.is_empty() {
-                return;
-            }
-            let dim = self.points.dim();
-            let fast = self.fast();
-            let scan = |chunk: &[u32]| -> Vec<usize> {
-                let mut entry_counts = vec![0usize; t2s.len()];
-                self.scan_rungs(fast.as_ref(), v.0, chunk, t2s, |_, j| entry_counts[j] += 1);
-                entry_counts
-            };
-            let entry_counts = if space::par_bulk_weighted(candidates.len(), dim * t2s.len()) {
-                use rayon::prelude::*;
-                candidates
-                    .par_chunks(space::par_chunk_size_weighted(candidates.len(), dim))
-                    .map(scan)
-                    .reduce(
-                        || vec![0usize; t2s.len()],
-                        |mut acc, part| {
-                            for (a, b) in acc.iter_mut().zip(&part) {
-                                *a += b;
-                            }
-                            acc
-                        },
-                    )
-            } else {
-                scan(candidates)
-            };
-            let mut acc = 0usize;
-            for (j, &e) in entry_counts.iter().enumerate() {
-                acc += e;
-                counts[j0 + j] = acc;
-            }
-        });
-        counts
-    }
-
-    /// Filter twin of [`MetricSpace::count_within_taus`]: one classification
-    /// pass, then one bucketizing pass over the admitted `(candidate,
-    /// entry)` pairs and a prefix-merge across rungs — O(entries + output)
-    /// instead of re-scanning every entry per rung. Candidate order is
-    /// preserved per rung (as the per-rung scalar kernel would produce):
-    /// entries arrive in candidate scan order, so their sequence positions
-    /// key the merges.
-    fn neighbors_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<Vec<u32>> {
-        Self::with_t2s(taus, |j0, t2s| {
-            if t2s.is_empty() {
-                return vec![Vec::new(); taus.len()];
-            }
-            let dim = self.points.dim();
-            let fast = self.fast();
-            let scan = |chunk: &[u32]| -> Vec<(u32, u32)> {
-                let mut entries = Vec::new();
-                self.scan_rungs(fast.as_ref(), v.0, chunk, t2s, |c, j| {
-                    entries.push((c, j as u32))
-                });
-                entries
-            };
-            let entries: Vec<(u32, u32)> =
-                if space::par_bulk_weighted(candidates.len(), dim * t2s.len()) {
-                    use rayon::prelude::*;
-                    let parts: Vec<Vec<(u32, u32)>> = candidates
-                        .par_chunks(space::par_chunk_size_weighted(candidates.len(), dim))
-                        .map(scan)
-                        .collect();
-                    parts.concat()
-                } else {
-                    scan(candidates)
-                };
-            // Bucketize each entry to its rung, keyed by its position in
-            // the scan order (chunks concatenate in candidate order, so
-            // position order IS candidate order).
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); t2s.len()];
-            for (p, &(c, e)) in entries.iter().enumerate() {
-                buckets[e as usize].push((p as u32, c));
-            }
-            // Rung j's list is every entry with rung ≤ j in scan order:
-            // prefix-merge the buckets, two ordered lists at a time.
-            let mut out: Vec<Vec<u32>> = vec![Vec::new(); j0];
-            let mut acc: Vec<(u32, u32)> = Vec::new();
-            let mut merged: Vec<(u32, u32)> = Vec::new();
-            for bucket in &buckets {
-                if !bucket.is_empty() {
-                    merged.clear();
-                    merged.reserve(acc.len() + bucket.len());
-                    let (mut x, mut y) = (0, 0);
-                    while x < acc.len() && y < bucket.len() {
-                        if acc[x].0 < bucket[y].0 {
-                            merged.push(acc[x]);
-                            x += 1;
-                        } else {
-                            merged.push(bucket[y]);
-                            y += 1;
-                        }
-                    }
-                    merged.extend_from_slice(&acc[x..]);
-                    merged.extend_from_slice(&bucket[y..]);
-                    std::mem::swap(&mut acc, &mut merged);
-                }
-                out.push(acc.iter().map(|&(_, c)| c).collect());
-            }
-            out
-        })
-    }
-
     /// Bulk distance fill over flat rows. Deliberately **not** the Gram
     /// trick: consumers of this method use the values themselves (GMM
-    /// radii, memo vectors), so each entry is the exact
+    /// radii), so each entry is the exact
     /// `row_dist_sq(..).sqrt()` evaluation [`MetricSpace::dist`] performs —
     /// bit-identical, just without the per-pair `PointId` indirection.
     fn dists_into(&self, v: PointId, candidates: &[u32], out: &mut Vec<f64>) {

@@ -340,229 +340,6 @@ pub fn classify_f32_run(
     }
 }
 
-/// Multi-τ entry-index sentinel: the estimate certifies that **no** rung
-/// admits the pair (its distance exceeds the largest τ²).
-pub const RUNG_NONE: u8 = 0xFF;
-/// Multi-τ entry-index sentinel: at least one rung's verdict landed inside
-/// the f32 error band — the caller must re-derive the entry index from the
-/// exact f64 distance.
-pub const RUNG_EXACT: u8 = 0xFE;
-/// Longest τ ladder the `u8` entry-index encoding supports: entry values
-/// `0..MAX_RUNGS` stay clear of the two sentinels. Callers with longer
-/// ladders must fall back to a non-entry-indexed path (verdicts are
-/// identical either way; only cycles move).
-pub const MAX_RUNGS: usize = 192;
-
-/// Batched multi-τ classification over a **contiguous** candidate run
-/// `first..first + out.len()` — the rung-ladder twin of
-/// [`classify_f32_run`]. Computes each f32 dot **once** from the
-/// dimension-major mirror (`cols[d * n + i]`, no gathers, no horizontal
-/// sums), then buckets the banded Gram estimate against every `t2s[j]`
-/// (ascending τ², all finite and ≥ 0) at once and writes a per-pair
-/// **rung-entry index**: the first `j` with `d² ≤ t2s[j]`, [`RUNG_NONE`]
-/// if every rung certifiably rejects, or [`RUNG_EXACT`] if any rung's
-/// verdict fell inside its error band `band_scale · (na + nb + t2s[j])`.
-/// A certain entry is bit-identical to what the exact-f64 sweep would
-/// produce: it is only emitted when *every* rung is certified, and each
-/// certification is sound, so the reject set is exactly the exact sweep's
-/// reject prefix.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn classify_f32_run_taus(
-    q: &[f32],
-    cols: &[f32],
-    n: usize,
-    rows: &[f32],
-    norms: &[f32],
-    dim: usize,
-    first: usize,
-    na: f64,
-    t2s: &[f64],
-    band_scale: f64,
-    out: &mut [u8],
-) {
-    debug_assert!(first + out.len() <= n);
-    debug_assert!(!t2s.is_empty() && t2s.len() <= MAX_RUNGS);
-    match lane() {
-        #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-        Lane::Avx512 => {
-            // SAFETY: `lane()` only returns `Avx512` after runtime
-            // detection of AVX-512F + AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_run_taus_avx512(
-                    q, cols, n, rows, norms, dim, first, na, t2s, band_scale, out,
-                )
-            }
-        }
-        // Without the `avx512` feature `lane()` never returns `Avx512`,
-        // so folding it in here (as the feature-independent kernels do)
-        // keeps the arm reachable in both feature configurations.
-        #[cfg(all(target_arch = "x86_64", feature = "avx512"))]
-        Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns this after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_run_taus_avx2_fma(
-                    q, cols, n, rows, norms, dim, first, na, t2s, band_scale, out,
-                )
-            }
-        }
-        #[cfg(all(target_arch = "x86_64", not(feature = "avx512")))]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_run_taus_avx2_fma(
-                    q, cols, n, rows, norms, dim, first, na, t2s, band_scale, out,
-                )
-            }
-        }
-        _ => {
-            for (i, o) in out.iter_mut().enumerate() {
-                let c = first + i;
-                let r = &rows[c * dim..c * dim + dim];
-                *o = classify_taus_one(dot_f32_baseline(q, r), norms[c], na, t2s, band_scale, 0);
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    if matches!(lane(), Lane::Avx512 | Lane::Avx2Fma) {
-        // As in `classify_f32_run`: every lane of the run kernel is a
-        // single FMA chain over ascending d, so a scalar `mul_add` fold
-        // reproduces its dots — and hence its entry indices — bit-for-bit.
-        for (i, &o) in out.iter().enumerate() {
-            let c = first + i;
-            let r = &rows[c * dim..c * dim + dim];
-            let dot = r
-                .iter()
-                .zip(q)
-                .fold(0.0f32, |acc, (&x, &y)| x.mul_add(y, acc));
-            let want = classify_taus_one(dot, norms[c], na, t2s, band_scale, 0);
-            assert_eq!(
-                o, want,
-                "classify_f32_run_taus diverged from scalar judgment (candidate {c})"
-            );
-        }
-    }
-}
-
-/// Batched multi-τ classification for an **indexed** candidate list — the
-/// rung-ladder twin of [`classify_f32_indexed`], blocking four candidates
-/// per iteration exactly like [`dots_f32_indexed`]. `min_entries[i]`, when
-/// present, is a certified per-pair lower bound on the entry index (from a
-/// sketch rejection at rung `min_entries[i] − 1`): rungs below it count as
-/// certified rejects without consulting the estimate. Writes the same
-/// entry / [`RUNG_NONE`] / [`RUNG_EXACT`] encoding as
-/// [`classify_f32_run_taus`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn classify_f32_indexed_taus(
-    q: &[f32],
-    rows: &[f32],
-    norms: &[f32],
-    dim: usize,
-    idx: &[u32],
-    na: f64,
-    t2s: &[f64],
-    band_scale: f64,
-    min_entries: Option<&[u8]>,
-    out: &mut [u8],
-) {
-    debug_assert_eq!(idx.len(), out.len());
-    debug_assert!(!t2s.is_empty() && t2s.len() <= MAX_RUNGS);
-    debug_assert!(min_entries.is_none_or(|m| m.len() == idx.len()));
-    match lane() {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe {
-                x86::classify_f32_indexed_taus_avx2_fma(
-                    q,
-                    rows,
-                    norms,
-                    dim,
-                    idx,
-                    na,
-                    t2s,
-                    band_scale,
-                    min_entries,
-                    out,
-                )
-            }
-        }
-        _ => {
-            for (i, (o, &c)) in out.iter_mut().zip(idx).enumerate() {
-                let r = &rows[c as usize * dim..c as usize * dim + dim];
-                let me = min_entries.map_or(0, |m| m[i]);
-                *o = classify_taus_one(
-                    dot_f32_baseline(q, r),
-                    norms[c as usize],
-                    na,
-                    t2s,
-                    band_scale,
-                    me,
-                );
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    {
-        // The entries must equal a scalar re-judgment of the *same* dot
-        // values (`dots_f32_indexed` reproduces them exactly: same lane,
-        // same blocking by position).
-        let mut dots = vec![0.0f32; idx.len()];
-        dots_f32_indexed(q, rows, dim, idx, &mut dots);
-        for (i, ((&o, &d), &c)) in out.iter().zip(&dots).zip(idx).enumerate() {
-            let me = min_entries.map_or(0, |m| m[i]);
-            let want = classify_taus_one(d, norms[c as usize], na, t2s, band_scale, me);
-            assert_eq!(
-                o, want,
-                "classify_f32_indexed_taus diverged from scalar judgment (candidate {c})"
-            );
-        }
-    }
-}
-
-/// The scalar multi-τ judgment shared by the `*_taus` kernels' baseline
-/// paths and debug assertions; must mirror the vector paths' f64 operation
-/// sequence exactly. Counts certified rejects `cr` and certified keeps
-/// `ck` across the ladder: a rung `j` certifies reject when `j <
-/// min_entry` (sketch) or `est > t2 + band`, certifies keep when not
-/// sketch-rejected and `est ≤ t2 − band`. Because each certification is
-/// sound and the exact reject set over ascending `t2s` is a prefix, `cr +
-/// ck == len` forces the certified labels to equal the exact labels, so
-/// the entry index is `cr`; `cr == len` means no rung admits; anything
-/// else (including NaN estimates, which certify nothing) defers to the
-/// exact path.
-#[inline(always)]
-fn classify_taus_one(
-    dot: f32,
-    nb32: f32,
-    na: f64,
-    t2s: &[f64],
-    band_scale: f64,
-    min_entry: u8,
-) -> u8 {
-    let nsum = na + nb32 as f64;
-    let est = nsum - 2.0 * dot as f64;
-    let mut cr = 0usize;
-    let mut ck = 0usize;
-    for (j, &t2) in t2s.iter().enumerate() {
-        let band = band_scale * (nsum + t2);
-        let low = j < min_entry as usize;
-        cr += (low || est > t2 + band) as usize;
-        ck += (!low && est <= t2 - band) as usize;
-    }
-    if cr == t2s.len() {
-        RUNG_NONE
-    } else if cr + ck == t2s.len() {
-        cr as u8
-    } else {
-        RUNG_EXACT
-    }
-}
-
 /// The scalar banded judgment shared by [`classify_f32_indexed`]'s
 /// baseline path and debug assertions. Must mirror the vector path's f64
 /// operation sequence exactly.
@@ -1085,344 +862,6 @@ mod x86 {
             let k = (km >> l) & 1;
             let r = (rm >> l) & 1;
             *out.add(l) = (k + 2 * (1 - k) * (1 - r)) as u8;
-        }
-    }
-
-    /// Contiguous-run multi-τ twin of [`classify_f32_run_avx2_fma`]: one
-    /// dot per candidate from the dimension-major mirror (broadcast-FMA,
-    /// no gathers, no horizontal sums), then one vectorized pass over the
-    /// rung ladder per 8-candidate group.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]), and that `first + out.len() <= n` with `cols` a
-    /// `dim × n` dimension-major slab.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn classify_f32_run_taus_avx2_fma(
-        q: &[f32],
-        cols: &[f32],
-        n: usize,
-        rows: &[f32],
-        norms: &[f32],
-        dim: usize,
-        first: usize,
-        na: f64,
-        t2s: &[f64],
-        band_scale: f64,
-        out: &mut [u8],
-    ) {
-        use std::arch::x86_64::*;
-        let len = out.len();
-        let na_v = _mm256_set1_pd(na);
-        let scale_v = _mm256_set1_pd(band_scale);
-        let mut i = 0;
-        while i + 32 <= len {
-            let base = first + i;
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            for d in 0..dim {
-                let qd = _mm256_broadcast_ss(q.get_unchecked(d));
-                let col = cols.as_ptr().add(d * n + base);
-                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(col), qd, a0);
-                a1 = _mm256_fmadd_ps(_mm256_loadu_ps(col.add(8)), qd, a1);
-                a2 = _mm256_fmadd_ps(_mm256_loadu_ps(col.add(16)), qd, a2);
-                a3 = _mm256_fmadd_ps(_mm256_loadu_ps(col.add(24)), qd, a3);
-            }
-            let outp = out.as_mut_ptr().add(i);
-            let np = norms.as_ptr().add(base);
-            classify8_taus(a0, np, outp, na_v, t2s, scale_v);
-            classify8_taus(a1, np.add(8), outp.add(8), na_v, t2s, scale_v);
-            classify8_taus(a2, np.add(16), outp.add(16), na_v, t2s, scale_v);
-            classify8_taus(a3, np.add(24), outp.add(24), na_v, t2s, scale_v);
-            i += 32;
-        }
-        while i + 8 <= len {
-            let base = first + i;
-            let mut a0 = _mm256_setzero_ps();
-            for d in 0..dim {
-                let qd = _mm256_broadcast_ss(q.get_unchecked(d));
-                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(cols.as_ptr().add(d * n + base)), qd, a0);
-            }
-            classify8_taus(
-                a0,
-                norms.as_ptr().add(base),
-                out.as_mut_ptr().add(i),
-                na_v,
-                t2s,
-                scale_v,
-            );
-            i += 8;
-        }
-        while i < len {
-            // Scalar tail over the row-major mirror — the same single FMA
-            // chain per candidate as the lanes above, so the debug
-            // reference in the dispatcher covers every path.
-            let c = first + i;
-            let r = &rows[c * dim..c * dim + dim];
-            let mut dot = 0.0f32;
-            for d in 0..dim {
-                dot = r[d].mul_add(q[d], dot);
-            }
-            out[i] = super::classify_taus_one(dot, norms[c], na, t2s, band_scale, 0);
-            i += 1;
-        }
-    }
-
-    /// Indexed multi-τ twin of [`classify_f32_indexed_avx2_fma`]: dots are
-    /// gathered four candidates per iteration (identical blocking to
-    /// [`dots_f32_indexed_avx2_fma`], so debug re-judgments reproduce them
-    /// exactly), then each 4-lane group runs one vectorized ladder pass.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn classify_f32_indexed_taus_avx2_fma(
-        q: &[f32],
-        rows: &[f32],
-        norms: &[f32],
-        dim: usize,
-        idx: &[u32],
-        na: f64,
-        t2s: &[f64],
-        band_scale: f64,
-        mins: Option<&[u8]>,
-        out: &mut [u8],
-    ) {
-        use std::arch::x86_64::*;
-        let na_v = _mm256_set1_pd(na);
-        let two = _mm256_set1_pd(2.0);
-        let scale_v = _mm256_set1_pd(band_scale);
-        let mut i = 0;
-        if dim >= 8 && dim.is_multiple_of(8) {
-            while i + 4 <= idx.len() {
-                let c0 = idx[i] as usize;
-                let c1 = idx[i + 1] as usize;
-                let c2 = idx[i + 2] as usize;
-                let c3 = idx[i + 3] as usize;
-                let r0 = rows.as_ptr().add(c0 * dim);
-                let r1 = rows.as_ptr().add(c1 * dim);
-                let r2 = rows.as_ptr().add(c2 * dim);
-                let r3 = rows.as_ptr().add(c3 * dim);
-                let mut a0 = _mm256_setzero_ps();
-                let mut a1 = _mm256_setzero_ps();
-                let mut a2 = _mm256_setzero_ps();
-                let mut a3 = _mm256_setzero_ps();
-                let mut d = 0;
-                while d < dim {
-                    let qv = _mm256_loadu_ps(q.as_ptr().add(d));
-                    a0 = _mm256_fmadd_ps(_mm256_loadu_ps(r0.add(d)), qv, a0);
-                    a1 = _mm256_fmadd_ps(_mm256_loadu_ps(r1.add(d)), qv, a1);
-                    a2 = _mm256_fmadd_ps(_mm256_loadu_ps(r2.add(d)), qv, a2);
-                    a3 = _mm256_fmadd_ps(_mm256_loadu_ps(r3.add(d)), qv, a3);
-                    d += 8;
-                }
-                let dots = _mm_set_ps(hsum_ps(a3), hsum_ps(a2), hsum_ps(a1), hsum_ps(a0));
-                let nb = _mm_set_ps(norms[c3], norms[c2], norms[c1], norms[c0]);
-                let dots_pd = _mm256_cvtps_pd(dots);
-                let nsum = _mm256_add_pd(na_v, _mm256_cvtps_pd(nb));
-                let est = _mm256_sub_pd(nsum, _mm256_mul_pd(two, dots_pd));
-                let me = match mins {
-                    Some(m) => _mm256_set_pd(
-                        m[i + 3] as f64,
-                        m[i + 2] as f64,
-                        m[i + 1] as f64,
-                        m[i] as f64,
-                    ),
-                    None => _mm256_setzero_pd(),
-                };
-                rung_entries4(est, nsum, me, t2s, scale_v, out.as_mut_ptr().add(i));
-                i += 4;
-            }
-        }
-        while i < idx.len() {
-            let c = idx[i] as usize;
-            let dot = dot_f32_avx2_fma(q, &rows[c * dim..c * dim + dim]);
-            let me = mins.map_or(0, |m| m[i]);
-            out[i] = super::classify_taus_one(dot, norms[c], na, t2s, band_scale, me);
-            i += 1;
-        }
-    }
-
-    /// One vectorized ladder pass over four f64 Gram estimates: per rung
-    /// `j`, runs `super::classify_taus_one`'s exact operation sequence in
-    /// vectors (`band = scale · (nsum + t2)`; reject iff sketch-floored or
-    /// `est > t2 + band`; keep iff not floored and `est ≤ t2 − band`),
-    /// counting certified rejects/keeps per lane by subtracting the
-    /// all-ones compare masks, then resolves each lane to an entry index
-    /// or sentinel. `me` holds the per-lane sketch entry floors as f64.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA, and that `out`
-    /// points at four writable bytes.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rung_entries4(
-        est: std::arch::x86_64::__m256d,
-        nsum: std::arch::x86_64::__m256d,
-        me: std::arch::x86_64::__m256d,
-        t2s: &[f64],
-        scale_v: std::arch::x86_64::__m256d,
-        out: *mut u8,
-    ) {
-        use std::arch::x86_64::*;
-        let mut cr = _mm256_setzero_si256();
-        let mut ck = _mm256_setzero_si256();
-        for (j, &t2) in t2s.iter().enumerate() {
-            let t2_v = _mm256_set1_pd(t2);
-            let band = _mm256_mul_pd(scale_v, _mm256_add_pd(nsum, t2_v));
-            let low = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_set1_pd(j as f64), me);
-            let rej = _mm256_or_pd(
-                low,
-                _mm256_cmp_pd::<_CMP_GT_OQ>(est, _mm256_add_pd(t2_v, band)),
-            );
-            let keep = _mm256_andnot_pd(
-                low,
-                _mm256_cmp_pd::<_CMP_LE_OQ>(est, _mm256_sub_pd(t2_v, band)),
-            );
-            cr = _mm256_sub_epi64(cr, _mm256_castpd_si256(rej));
-            ck = _mm256_sub_epi64(ck, _mm256_castpd_si256(keep));
-        }
-        let mut crs = [0i64; 4];
-        let mut cks = [0i64; 4];
-        _mm256_storeu_si256(crs.as_mut_ptr() as *mut __m256i, cr);
-        _mm256_storeu_si256(cks.as_mut_ptr() as *mut __m256i, ck);
-        let len = t2s.len() as i64;
-        for l in 0..4 {
-            *out.add(l) = if crs[l] == len {
-                super::RUNG_NONE
-            } else if crs[l] + cks[l] == len {
-                crs[l] as u8
-            } else {
-                super::RUNG_EXACT
-            };
-        }
-    }
-
-    /// Ladder classification of eight vertically-accumulated f32 dots:
-    /// widens each 4-lane half to f64 and delegates to [`rung_entries4`]
-    /// with a zero sketch floor (the run path never carries one).
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA, `nb` points at
-    /// eight readable f32 norms, and `out` at eight writable bytes.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn classify8_taus(
-        dots: std::arch::x86_64::__m256,
-        nb: *const f32,
-        out: *mut u8,
-        na_v: std::arch::x86_64::__m256d,
-        t2s: &[f64],
-        scale_v: std::arch::x86_64::__m256d,
-    ) {
-        use std::arch::x86_64::*;
-        let two = _mm256_set1_pd(2.0);
-        let nbv = _mm256_loadu_ps(nb);
-        for h in 0..2u32 {
-            let (dp, nbp) = if h == 0 {
-                (
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(dots)),
-                    _mm256_cvtps_pd(_mm256_castps256_ps128(nbv)),
-                )
-            } else {
-                (
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(dots, 1)),
-                    _mm256_cvtps_pd(_mm256_extractf128_ps(nbv, 1)),
-                )
-            };
-            let nsum = _mm256_add_pd(na_v, nbp);
-            let est = _mm256_sub_pd(nsum, _mm256_mul_pd(two, dp));
-            rung_entries4(
-                est,
-                nsum,
-                _mm256_setzero_pd(),
-                t2s,
-                scale_v,
-                out.add(4 * h as usize),
-            );
-        }
-    }
-
-    /// AVX-512 variant of [`classify_f32_run_taus_avx2_fma`]: the dot
-    /// blocks run 32 consecutive candidates as two 16-lane FMA chains per
-    /// query coordinate (halving the broadcast traffic), then the ladder
-    /// classification reuses the 8-wide AVX2 pass on each extracted
-    /// quarter. Each candidate's dot is still a single FMA chain over
-    /// ascending `d`, so the scalar `mul_add` debug reference reproduces
-    /// it bit-for-bit; the sub-32 remainder delegates to the AVX2 body.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX-512F, AVX2, and FMA (see
-    /// [`super::lane`]), and that `first + out.len() <= n` with `cols` a
-    /// `dim × n` dimension-major slab.
-    #[cfg(feature = "avx512")]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub unsafe fn classify_f32_run_taus_avx512(
-        q: &[f32],
-        cols: &[f32],
-        n: usize,
-        rows: &[f32],
-        norms: &[f32],
-        dim: usize,
-        first: usize,
-        na: f64,
-        t2s: &[f64],
-        band_scale: f64,
-        out: &mut [u8],
-    ) {
-        use std::arch::x86_64::*;
-        let len = out.len();
-        let na_v = _mm256_set1_pd(na);
-        let scale_v = _mm256_set1_pd(band_scale);
-        // Low/high 256-bit halves of a 512-bit f32 accumulator. Plain
-        // AVX-512F has no f32×8 extract (that is AVX-512DQ), so the high
-        // half goes through the f64×4 extract and a bitcast.
-        #[target_feature(enable = "avx512f")]
-        unsafe fn halves(acc: __m512) -> (__m256, __m256) {
-            (
-                _mm512_castps512_ps256(acc),
-                _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(acc), 1)),
-            )
-        }
-        let mut i = 0;
-        while i + 32 <= len {
-            let base = first + i;
-            let mut a0 = _mm512_setzero_ps();
-            let mut a1 = _mm512_setzero_ps();
-            for d in 0..dim {
-                let qd = _mm512_set1_ps(*q.get_unchecked(d));
-                let col = cols.as_ptr().add(d * n + base);
-                a0 = _mm512_fmadd_ps(_mm512_loadu_ps(col), qd, a0);
-                a1 = _mm512_fmadd_ps(_mm512_loadu_ps(col.add(16)), qd, a1);
-            }
-            let outp = out.as_mut_ptr().add(i);
-            let np = norms.as_ptr().add(base);
-            let (l0, h0) = halves(a0);
-            let (l1, h1) = halves(a1);
-            classify8_taus(l0, np, outp, na_v, t2s, scale_v);
-            classify8_taus(h0, np.add(8), outp.add(8), na_v, t2s, scale_v);
-            classify8_taus(l1, np.add(16), outp.add(16), na_v, t2s, scale_v);
-            classify8_taus(h1, np.add(24), outp.add(24), na_v, t2s, scale_v);
-            i += 32;
-        }
-        if i < len {
-            classify_f32_run_taus_avx2_fma(
-                q,
-                cols,
-                n,
-                rows,
-                norms,
-                dim,
-                first + i,
-                na,
-                t2s,
-                band_scale,
-                &mut out[i..],
-            );
         }
     }
 

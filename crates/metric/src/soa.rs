@@ -12,7 +12,7 @@
 //! re-decided with the exact f64 evaluation. Threshold verdicts — and hence
 //! centers, radii, rounds, and ledgers — stay bit-identical to the exact
 //! tier on every host. Distance-*returning* paths (`dist`, `dists_into`,
-//! memo fills, GMM radii) never consult the mirror.
+//! GMM radii) never consult the mirror.
 //!
 //! ## f32 error band
 //!
@@ -66,7 +66,9 @@ pub enum SpeedTier {
     /// f32 SoA mirror + banded f32 estimates in the bulk threshold kernels.
     Soa,
     /// [`SpeedTier::Soa`] plus the Hamming sketch prefilter
-    /// ([`crate::sketch`]) in front of the estimate.
+    /// ([`crate::sketch`]) in front of the estimate. The end-to-end
+    /// benchmark selects this variant by name; keep it until the next
+    /// benchmark change.
     SoaSketch,
 }
 
@@ -95,7 +97,9 @@ impl SpeedTier {
         })
     }
 
-    /// The `KCENTER_SPEED` spelling of this tier.
+    /// The `KCENTER_SPEED` spelling of this tier. The end-to-end
+    /// benchmark reports `from_env().name()`; keep both until the next
+    /// benchmark change.
     pub fn name(self) -> &'static str {
         match self {
             SpeedTier::Exact => "exact",

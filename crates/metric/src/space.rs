@@ -162,8 +162,13 @@ pub trait MetricSpace: Sync {
         1
     }
 
-    /// True iff `dist(i, j) <= tau`, i.e. `i` and `j` are adjacent in the
-    /// threshold graph `G_tau`.
+    /// True iff `i` and `j` are adjacent in the threshold graph `G_tau`.
+    ///
+    /// The default compares `dist(i, j) <= tau`; a space may use any
+    /// comparison that is monotone in `tau`, and every bulk threshold
+    /// method must agree with this one pair by pair. `EuclideanSpace`
+    /// compares `dist_sq <= tau²`, so `within(i, j, dist(i, j))` is **not**
+    /// guaranteed: the squared comparison may reject by one ulp.
     #[inline]
     fn within(&self, i: PointId, j: PointId, tau: f64) -> bool {
         self.dist(i, j) <= tau
@@ -248,7 +253,7 @@ pub trait MetricSpace: Sync {
     /// Bulk distance fill: clears `out` and appends `dist(v, c)` for every
     /// candidate `c`, in candidate order, **bit-identical** to the per-pair
     /// [`MetricSpace::dist`] loop. Distance-*returning* consumers (GMM's
-    /// relaxation, the ladder memo's miss fills, set-distance helpers) ride
+    /// relaxation, set-distance helpers) ride
     /// this instead of the threshold kernels: they need the actual values,
     /// so implementations must use the same floating-point evaluation as
     /// `dist` — not an algebraic rearrangement (see DESIGN.md §6.2).
@@ -285,17 +290,14 @@ pub trait MetricSpace: Sync {
 
     /// Multi-τ threshold count: `result[j]` is exactly
     /// [`MetricSpace::count_within`]`(v, candidates, taus[j])`, for a
-    /// **monotone non-decreasing** batch of finite thresholds (the ladder's
-    /// rung schedule). One candidate pass classifies each candidate into
-    /// its *entry rung* — the first rung that admits it — and the per-rung
-    /// counts fall out as a prefix sum, so `|taus|` rungs cost one scan
-    /// instead of `|taus|`.
+    /// **monotone non-decreasing** batch of finite thresholds. Each
+    /// candidate is classified into its *entry rung* — the first rung that
+    /// admits it, sound because `within` is monotone in τ — and the
+    /// per-rung counts fall out as a prefix sum.
     ///
-    /// The entry-rung representation is sound because every implementation's
-    /// `within` answers `dist <= τ`, which is monotone in τ: once a
-    /// candidate is admitted it stays admitted at every larger rung.
-    /// Verdicts per rung are bit-identical to the scalar kernel's (the
-    /// consistency proptests pin this for every space in the crate).
+    /// No algorithm calls this; it is kept for the end-to-end benchmark,
+    /// whose instrumented space implements every method, and goes away in
+    /// the next benchmark change.
     fn count_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<usize> {
         debug_assert!(
             taus.windows(2).all(|w| w[0] <= w[1]),
@@ -321,7 +323,8 @@ pub trait MetricSpace: Sync {
     /// [`MetricSpace::neighbors_within`] would produce at `taus[j]`. Same
     /// monotone-batch contract and entry-rung argument as
     /// [`MetricSpace::count_within_taus`]; each per-rung list preserves
-    /// candidate order exactly.
+    /// candidate order exactly. Kept for the end-to-end benchmark like
+    /// [`MetricSpace::count_within_taus`].
     fn neighbors_within_taus(&self, v: PointId, candidates: &[u32], taus: &[f64]) -> Vec<Vec<u32>> {
         debug_assert!(
             taus.windows(2).all(|w| w[0] <= w[1]),
@@ -353,8 +356,8 @@ pub trait MetricSpace: Sync {
     /// Snapshot of the space's fast-path kernel tallies, when it keeps
     /// any. The default is `None`: purely oracle-backed spaces have no
     /// SIMD kernels to count. Wrappers forward to their inner space so
-    /// the counters surface through memoization and instrumentation
-    /// layers (see `Telemetry` in `mpc-core`).
+    /// the counters surface through instrumentation layers (see
+    /// `Telemetry` in `mpc-core`).
     fn kernel_stats(&self) -> Option<KernelStats> {
         None
     }
@@ -367,21 +370,15 @@ pub trait MetricSpace: Sync {
 /// verdict. All counts are in pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Pairs classified by the single-τ contiguous-run kernel
-    /// (`classify_f32_run`).
+    /// Pairs classified by the contiguous-run kernel (`classify_f32_run`).
     pub run_pairs: u64,
-    /// Pairs classified by the single-τ indexed kernel
-    /// (`classify_f32_indexed`).
+    /// Pairs classified by the indexed kernel (`classify_f32_indexed`).
     pub indexed_pairs: u64,
-    /// Pairs classified by the multi-τ contiguous-run kernel
-    /// (`classify_f32_run_taus`).
-    pub taus_run_pairs: u64,
-    /// Pairs classified by the multi-τ indexed kernel
-    /// (`classify_f32_indexed_taus`).
-    pub taus_indexed_pairs: u64,
-    /// Pairs the sketch sieve certified as rejects (no dot computed).
+    /// Pairs the sketch sieve certified as rejects (no dot computed). The
+    /// end-to-end benchmark reads this field by name.
     pub sketch_rejects: u64,
-    /// Pairs re-decided by the exact f64 evaluation after a band hit.
+    /// Pairs re-decided by the exact f64 evaluation after a band hit. The
+    /// end-to-end benchmark reads this field by name.
     pub exact_fallbacks: u64,
     /// Occupied cells across every `GridIndex` built (grid engine only).
     pub grid_cells: u64,
@@ -395,9 +392,10 @@ pub struct KernelStats {
 
 impl KernelStats {
     /// Total pairs the fast-path classifiers judged (excluding
-    /// sketch-rejected pairs, which never reach a classifier).
+    /// sketch-rejected pairs, which never reach a classifier). The
+    /// end-to-end benchmark reads this by name.
     pub fn classified_pairs(&self) -> u64 {
-        self.run_pairs + self.indexed_pairs + self.taus_run_pairs + self.taus_indexed_pairs
+        self.run_pairs + self.indexed_pairs
     }
 
     /// Folds another tally into this one field-by-field — used to combine
@@ -405,8 +403,6 @@ impl KernelStats {
     pub fn merge(&mut self, other: &KernelStats) {
         self.run_pairs += other.run_pairs;
         self.indexed_pairs += other.indexed_pairs;
-        self.taus_run_pairs += other.taus_run_pairs;
-        self.taus_indexed_pairs += other.taus_indexed_pairs;
         self.sketch_rejects += other.sketch_rejects;
         self.exact_fallbacks += other.exact_fallbacks;
         self.grid_cells += other.grid_cells;

@@ -168,8 +168,8 @@ impl Ledger {
     /// message.
     ///
     /// This is the assertion behind the determinism and kernel-neutrality
-    /// suites: local compute — thread counts, batched kernels,
-    /// memoization — must never perturb the communication ledger.
+    /// suites: local compute — thread counts, batched kernels, speed
+    /// tiers — must never perturb the communication ledger.
     pub fn assert_identical(&self, other: &Ledger, ctx: &str) {
         assert_eq!(self.rounds(), other.rounds(), "{ctx}: round counts");
         for (ra, rb) in self.rounds.iter().zip(&other.rounds) {

@@ -14,7 +14,7 @@
 use mpc_clustering::core::grid::mpc_kcenter_grid_on;
 use mpc_clustering::core::kcenter::mpc_kcenter_on;
 use mpc_clustering::core::Params;
-use mpc_clustering::metric::{datasets, EuclideanSpace, MetricSpace, PointId};
+use mpc_clustering::metric::{datasets, EuclideanSpace};
 use mpc_clustering::sim::{Cluster, TransportKind};
 use rayon::with_threads;
 
@@ -82,34 +82,16 @@ fn main() {
                 res.telemetry.phases.ladder_s,
                 res.telemetry.phases.finalize_s
             );
-            // Memo cache behavior per speed tier, also stderr-only: the
-            // counts are deterministic, but keeping stdout fixed to the
-            // ladder outputs is what lets CI diff digests across tiers.
-            if let Some(ms) = &res.telemetry.memo {
-                eprintln!(
-                    "  memo(t={threads} tier={}): hits={} misses={} flushes={} \
-                     sorted_rows={}/{} stored_bytes={}",
-                    space.speed_tier().name(),
-                    ms.hits,
-                    ms.misses,
-                    ms.flushes,
-                    ms.sorted_rows,
-                    ms.entries,
-                    ms.bytes()
-                );
-            }
             // Fast-path kernel tallies, stderr-only for the same reason:
             // which kernel answered is tier-dependent by design; *what* it
             // answered (stdout above) must not be.
             if let Some(ks) = &res.telemetry.kernels {
                 eprintln!(
-                    "  kernels(t={threads} tier={}): single {}r/{}i multi-τ {}r/{}i \
-                     sketch_rejects={} exact_fallbacks={}",
+                    "  kernels(t={threads} tier={}): {}r/{}i sketch_rejects={} \
+                     exact_fallbacks={}",
                     space.speed_tier().name(),
                     ks.run_pairs,
                     ks.indexed_pairs,
-                    ks.taus_run_pairs,
-                    ks.taus_indexed_pairs,
                     ks.sketch_rejects,
                     ks.exact_fallbacks
                 );
@@ -167,49 +149,6 @@ fn main() {
                 );
             }
         }
-    }
-
-    // Direct multi-τ sweep digest: one candidate pass classified against a
-    // whole rung schedule through `count_within_taus` /
-    // `neighbors_within_taus`. The k-center runs above reach these kernels
-    // through the distance memo; this section pins them raw, so a tier- or
-    // thread-dependent rung verdict cannot hide behind caching.
-    let (n, dim) = (4_000usize, 32usize);
-    let space = EuclideanSpace::new(datasets::gaussian_clusters(n, dim, 8, 0.05, 11));
-    let candidates: Vec<u32> = (0..n as u32).collect();
-    let base = space.dist(PointId(0), PointId(n as u32 / 2));
-    let rungs: Vec<f64> = (0..12).map(|i| base * 0.15 * 1.25f64.powi(i)).collect();
-    for threads in [1usize, 2, 8] {
-        let mut h = Fnv::new();
-        with_threads(threads, || {
-            for v in (0..n as u32).step_by(n / 16) {
-                for c in space.count_within_taus(PointId(v), &candidates, &rungs) {
-                    h.eat(&(c as u64).to_le_bytes());
-                }
-                for row in space.neighbors_within_taus(PointId(v), &candidates, &rungs) {
-                    h.eat(&(row.len() as u64).to_le_bytes());
-                    for c in row {
-                        h.eat(&c.to_le_bytes());
-                    }
-                }
-            }
-        });
-        println!(
-            "taus-sweep n={n} dim={dim} rungs={} t={threads} digest={:016x}",
-            rungs.len(),
-            h.0
-        );
-    }
-    if let Some(ks) = space.kernel_stats() {
-        eprintln!(
-            "  taus-sweep kernels (tier={}): multi-τ {}r/{}i sketch_rejects={} \
-             exact_fallbacks={}",
-            space.speed_tier().name(),
-            ks.taus_run_pairs,
-            ks.taus_indexed_pairs,
-            ks.sketch_rejects,
-            ks.exact_fallbacks
-        );
     }
 
     // Transport parity: the same ladder driven over the byte-level

@@ -116,7 +116,9 @@ impl CliCommand {
 
 /// Parses CSV text (one point per line, comma-separated coordinates,
 /// optional header starting with a non-numeric token, blank lines and
-/// `#` comments skipped) into a [`PointSet`].
+/// `#` comments skipped) into a [`PointSet`]. Coordinates must be finite:
+/// `NaN` and `inf` parse as numbers but are rejected with
+/// [`CliError::BadCsv`].
 pub fn parse_points_csv(text: &str) -> Result<PointSet, CliError> {
     let mut rows: Vec<Vec<f64>> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -128,6 +130,12 @@ pub fn parse_points_csv(text: &str) -> Result<PointSet, CliError> {
         let parsed: Result<Vec<f64>, _> = cells.iter().map(|c| c.parse::<f64>()).collect();
         match parsed {
             Ok(coords) => {
+                if let Some(c) = coords.iter().find(|c| !c.is_finite()) {
+                    return Err(CliError::BadCsv {
+                        line: idx + 1,
+                        message: format!("non-finite coordinate {c}"),
+                    });
+                }
                 if let Some(first) = rows.first() {
                     if coords.len() != first.len() {
                         return Err(CliError::BadCsv {
@@ -247,6 +255,20 @@ mod tests {
             parse_points_csv("x,y\n"),
             Err(CliError::BadCsv { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let csv = format!("x,y\n1.0,2.0\n{bad},0.1\n");
+            assert!(
+                matches!(
+                    parse_points_csv(&csv),
+                    Err(CliError::BadCsv { line: 3, .. })
+                ),
+                "{bad} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -65,7 +65,23 @@ fn params_from(cmd: &CliCommand) -> Result<Params, Box<dyn std::error::Error>> {
     let m: usize = cmd.optional("m", 8, "integer")?;
     let epsilon: f64 = cmd.optional("epsilon", 0.1, "number")?;
     let seed: u64 = cmd.optional("seed", 0, "integer")?;
-    Ok(Params::practical(m.max(1), epsilon, seed))
+    if m == 0 {
+        return Err("--m must be at least 1".into());
+    }
+    if !(epsilon > 0.0 && epsilon.is_finite()) {
+        return Err(format!("--epsilon must be positive and finite, got {epsilon}").into());
+    }
+    Ok(Params::practical(m, epsilon, seed))
+}
+
+/// The required `--k`, rejected below `min` (1 for k-center and
+/// k-supplier, 2 for diversity, which needs a pairwise distance).
+fn k_from(cmd: &CliCommand, min: usize) -> Result<usize, Box<dyn std::error::Error>> {
+    let k: usize = cmd.required("k", "integer")?;
+    if k < min {
+        return Err(format!("--k must be at least {min} for {}, got {k}", cmd.command).into());
+    }
+    Ok(k)
 }
 
 fn emit(
@@ -109,7 +125,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         }
         "kcenter" => {
             let points = load_points(&cmd)?;
-            let k: usize = cmd.required("k", "integer")?;
+            let k = k_from(&cmd, 1)?;
             let params = params_from(&cmd)?;
             let metric = EuclideanSpace::new(points);
             let res = kcenter::mpc_kcenter(&metric, k, &params);
@@ -121,7 +137,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         }
         "diversity" => {
             let points = load_points(&cmd)?;
-            let k: usize = cmd.required("k", "integer")?;
+            let k = k_from(&cmd, 2)?;
             let params = params_from(&cmd)?;
             let metric = EuclideanSpace::new(points);
             let res = diversity::mpc_diversity(&metric, k, &params);
@@ -133,7 +149,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         }
         "ksupplier" => {
             let points = load_points(&cmd)?;
-            let k: usize = cmd.required("k", "integer")?;
+            let k = k_from(&cmd, 1)?;
             let split: usize = cmd.required("suppliers-from", "row index")?;
             if split == 0 || split >= points.len() {
                 return Err(format!(

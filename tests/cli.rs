@@ -112,6 +112,54 @@ fn bad_invocations_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
+/// Runs the binary and asserts a clean CLI failure: non-zero exit, an
+/// `error:` line mentioning `needle`, and no panic.
+fn assert_cli_error(args: &[&str], input: &std::path::Path, needle: &str) {
+    let out = bin().args(args).arg("--input").arg(input).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn non_finite_csv_rows_are_rejected() {
+    let pts = tmp("nan-points.csv");
+    std::fs::write(&pts, "0.0,0.1,0.2\nNaN,0.1,0.2\n1.0,1.1,1.2\n").unwrap();
+    assert_cli_error(&["kcenter", "--k", "2"], &pts, "CSV line 2");
+    std::fs::write(&pts, "0.0,0.1\n1.0,inf\n").unwrap();
+    assert_cli_error(&["diversity", "--k", "2"], &pts, "non-finite");
+}
+
+#[test]
+fn bad_parameters_are_cli_errors() {
+    let pts = tmp("param-points.csv");
+    bin()
+        .args(["gen", "--n", "40", "--seed", "2", "--out"])
+        .arg(&pts)
+        .status()
+        .unwrap();
+    assert_cli_error(&["kcenter", "--k", "3", "--m", "0"], &pts, "--m");
+    assert_cli_error(&["kcenter", "--k", "0"], &pts, "--k");
+    assert_cli_error(
+        &["kcenter", "--k", "3", "--epsilon", "0"],
+        &pts,
+        "--epsilon",
+    );
+    assert_cli_error(
+        &["kcenter", "--k", "3", "--epsilon", "NaN"],
+        &pts,
+        "--epsilon",
+    );
+    assert_cli_error(&["diversity", "--k", "1"], &pts, "--k");
+    assert_cli_error(
+        &["ksupplier", "--k", "0", "--suppliers-from", "20"],
+        &pts,
+        "--k",
+    );
+}
+
 #[test]
 fn help_prints_usage() {
     let out = bin().arg("--help").output().unwrap();
