@@ -5,7 +5,7 @@
 //! `G_τ` at one τ — over the same points, partition, and machine count:
 //!
 //! * `grid/rung-allpairs/…` — Algorithm 4 (`k_bounded_mis`) at the
-//!   fastest all-pairs tier (`soa+sketch`), whose degree-approximation
+//!   fastest all-pairs tier (`soa`), whose degree-approximation
 //!   rounds scan `Θ(n²/m)` pairs;
 //! * `grid/rung-grid/…` — the grid engine (`grid_k_bounded_mis`), whose
 //!   stencil scans touch `O(n·3^d)` pairs.
@@ -32,7 +32,7 @@ const SEED: u64 = 31;
 
 fn space_of(n: usize) -> EuclideanSpace {
     EuclideanSpace::new(datasets::user_embeddings(n, DIM, K, 0.02, 1e-4, SEED))
-        .with_speed_tier(SpeedTier::SoaSketch)
+        .with_speed_tier(SpeedTier::Soa)
 }
 
 /// Round-robin machine partition (id % m), the same shape

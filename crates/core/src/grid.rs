@@ -87,33 +87,37 @@ impl KCenterEngine {
         }
     }
 
-    /// The engine for a `dim`-dimensional Euclidean input: the
-    /// `KCENTER_ENGINE` choice if set and valid (`auto` selects by
-    /// dimension), else all-pairs. The env var is read once and cached,
-    /// mirroring `KCENTER_SPEED`. Any selection is clamped to all-pairs
-    /// above [`KCenterEngine::GRID_MAX_DIM`].
-    pub fn from_env(dim: usize) -> KCenterEngine {
-        #[derive(Clone, Copy)]
-        enum EnvChoice {
-            Fixed(KCenterEngine),
-            Auto,
+    /// Parses an optional `KCENTER_ENGINE` value: `None` selects by
+    /// dimension (`auto`), `Some(engine)` forces one. Unset or empty means
+    /// all-pairs. The error lists the allowed values.
+    pub fn parse_env(value: Option<&str>) -> Result<Option<KCenterEngine>, String> {
+        match value.map(str::trim).unwrap_or("") {
+            "" => Ok(Some(KCenterEngine::AllPairs)),
+            "auto" => Ok(None),
+            s => KCenterEngine::parse(s).map(Some).ok_or_else(|| {
+                format!(
+                    "KCENTER_ENGINE={s:?} is not an engine \
+                     (expected one of: allpairs, all-pairs, grid, auto)"
+                )
+            }),
         }
-        static CHOICE: OnceLock<EnvChoice> = OnceLock::new();
+    }
+
+    /// The engine for a `dim`-dimensional Euclidean input: the
+    /// `KCENTER_ENGINE` choice if set (`auto` selects by dimension), else
+    /// all-pairs. The env var is read once and cached, mirroring
+    /// `KCENTER_SPEED`. Any selection is clamped to all-pairs above
+    /// [`KCenterEngine::GRID_MAX_DIM`].
+    ///
+    /// # Panics
+    /// If `KCENTER_ENGINE` is set to anything but an engine name or `auto`.
+    pub fn from_env(dim: usize) -> KCenterEngine {
+        static CHOICE: OnceLock<Option<KCenterEngine>> = OnceLock::new();
         let choice = *CHOICE.get_or_init(|| {
-            match std::env::var("KCENTER_ENGINE")
-                .ok()
-                .as_deref()
-                .map(str::trim)
-            {
-                Some("auto") => EnvChoice::Auto,
-                Some(s) => EnvChoice::Fixed(KCenterEngine::parse(s).unwrap_or_default()),
-                None => EnvChoice::Fixed(KCenterEngine::AllPairs),
-            }
+            let value = std::env::var("KCENTER_ENGINE").ok();
+            KCenterEngine::parse_env(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
         });
-        let picked = match choice {
-            EnvChoice::Fixed(e) => e,
-            EnvChoice::Auto => KCenterEngine::Grid,
-        };
+        let picked = choice.unwrap_or(KCenterEngine::Grid);
         if dim > Self::GRID_MAX_DIM {
             KCenterEngine::AllPairs
         } else {
@@ -558,5 +562,16 @@ mod tests {
         assert_eq!(KCenterEngine::parse("quantum"), None);
         assert_eq!(KCenterEngine::default(), KCenterEngine::AllPairs);
         assert_eq!(KCenterEngine::Grid.name(), "grid");
+        assert_eq!(
+            KCenterEngine::parse_env(None),
+            Ok(Some(KCenterEngine::AllPairs))
+        );
+        assert_eq!(KCenterEngine::parse_env(Some("auto")), Ok(None));
+        assert_eq!(
+            KCenterEngine::parse_env(Some("grid")),
+            Ok(Some(KCenterEngine::Grid))
+        );
+        let err = KCenterEngine::parse_env(Some("gird")).unwrap_err();
+        assert!(err.contains("allpairs, all-pairs, grid, auto"), "{err}");
     }
 }

@@ -39,3 +39,18 @@ pub mod verify;
 pub use grid::KCenterEngine;
 pub use params::{BoundarySearch, Params, PartitionStrategy};
 pub use telemetry::{MemoStats, PhaseTimes, Telemetry};
+
+/// Checks every `KCENTER_*` variable the workspace reads — the speed tier
+/// (`KCENTER_SPEED`), the k-center engine (`KCENTER_ENGINE`), the
+/// transport (`KCENTER_TRANSPORT`) and the pool width (`KCENTER_THREADS`)
+/// — and returns the first invalid one as an error listing the allowed
+/// values. The readers themselves panic on such a value at first use;
+/// front ends call this once at startup to report it cleanly instead.
+pub fn check_env() -> Result<(), String> {
+    let var = |name: &str| std::env::var(name).ok();
+    mpc_metric::SpeedTier::parse_env(var("KCENTER_SPEED").as_deref())?;
+    KCenterEngine::parse_env(var("KCENTER_ENGINE").as_deref())?;
+    mpc_sim::TransportKind::parse_env(var("KCENTER_TRANSPORT").as_deref())?;
+    rayon::pool::parse_threads_env(var("KCENTER_THREADS").as_deref())?;
+    Ok(())
+}

@@ -5,7 +5,6 @@ use std::sync::OnceLock;
 
 use crate::point::{PointId, PointSet};
 use crate::simd;
-use crate::sketch::Sketch;
 use crate::soa::{f32_band_scale, SoaStorage, SpeedTier};
 use crate::space::{self, KernelStats, MetricSpace};
 
@@ -53,11 +52,9 @@ pub struct EuclideanSpace {
     /// Which estimate layers the bulk threshold kernels may use (see
     /// [`SpeedTier`]); verdicts are bit-identical at every tier.
     tier: SpeedTier,
-    /// Lazily built f32 mirror ([`SpeedTier::Soa`]+). Derived purely from
+    /// Lazily built f32 mirror ([`SpeedTier::Soa`]). Derived purely from
     /// `points`, so cloning the cache with the space is sound.
     soa: OnceLock<SoaStorage>,
-    /// Lazily built Hamming prefilter sketch ([`SpeedTier::SoaSketch`]).
-    sketch: OnceLock<Sketch>,
     /// Cumulative fast-path kernel hit counters ([`KernelStats`]).
     counters: KernelCounters,
 }
@@ -70,7 +67,6 @@ pub struct EuclideanSpace {
 struct KernelCounters {
     run_pairs: AtomicU64,
     indexed_pairs: AtomicU64,
-    sketch_rejects: AtomicU64,
     exact_fallbacks: AtomicU64,
 }
 
@@ -82,7 +78,6 @@ impl Clone for KernelCounters {
         let c = Self::default();
         c.run_pairs.store(s.run_pairs, Ordering::Relaxed);
         c.indexed_pairs.store(s.indexed_pairs, Ordering::Relaxed);
-        c.sketch_rejects.store(s.sketch_rejects, Ordering::Relaxed);
         c.exact_fallbacks
             .store(s.exact_fallbacks, Ordering::Relaxed);
         c
@@ -94,24 +89,19 @@ impl KernelCounters {
         KernelStats {
             run_pairs: self.run_pairs.load(Ordering::Relaxed),
             indexed_pairs: self.indexed_pairs.load(Ordering::Relaxed),
-            sketch_rejects: self.sketch_rejects.load(Ordering::Relaxed),
             exact_fallbacks: self.exact_fallbacks.load(Ordering::Relaxed),
             ..KernelStats::default()
         }
     }
 
     /// Folds one single-τ tile classification into the tally.
-    fn record_single(&self, contiguous: bool, pairs: usize, sketch_rejects: usize, exact: usize) {
+    fn record_single(&self, contiguous: bool, pairs: usize, exact: usize) {
         let ctr = if contiguous {
             &self.run_pairs
         } else {
             &self.indexed_pairs
         };
         ctr.fetch_add(pairs as u64, Ordering::Relaxed);
-        if sketch_rejects > 0 {
-            self.sketch_rejects
-                .fetch_add(sketch_rejects as u64, Ordering::Relaxed);
-        }
         if exact > 0 {
             self.exact_fallbacks
                 .fetch_add(exact as u64, Ordering::Relaxed);
@@ -119,33 +109,30 @@ impl KernelCounters {
     }
 }
 
-/// Per-kernel-call fast-path context: the f32 mirror, the optional sketch,
-/// the f32 error-band scale, and the space's kernel tallies, resolved once
-/// so the per-pair loop only branches on data.
+/// Per-kernel-call fast-path context: the f32 mirror, the f32 error-band
+/// scale, and the space's kernel tallies, resolved once so the per-pair
+/// loop only branches on data.
 struct Fast<'a> {
     soa: &'a SoaStorage,
-    sketch: Option<&'a Sketch>,
     band_scale: f64,
     counters: &'a KernelCounters,
 }
 
 /// One query's slice of the fast path: its exact f64 row (for band
-/// fallbacks), its f32 mirror row and norm, and its sketch limbs.
+/// fallbacks) and its f32 mirror row and norm.
 struct FastQuery<'a> {
     a64: &'a [f64],
     a32: &'a [f32],
     na32: f64,
-    qsk: Option<&'a [u64]>,
 }
 
 impl Fast<'_> {
-    /// Binds query `q`'s rows/norm/limbs for repeated candidate tests.
+    /// Binds query `q`'s rows and norm for repeated candidate tests.
     fn query<'a>(&'a self, q: usize, data: &'a [f64], dim: usize) -> FastQuery<'a> {
         FastQuery {
             a64: &data[q * dim..(q + 1) * dim],
             a32: self.soa.row(q),
             na32: self.soa.norm(q) as f64,
-            qsk: self.sketch.map(|s| s.limbs(q)),
         }
     }
 
@@ -166,26 +153,21 @@ impl Fast<'_> {
         }
     }
 
-    /// One batched call per (query, tile): optional certified sketch
-    /// rejects, then SIMD dot + banded classification over the survivors.
-    /// Returns the survivor ids, their tile positions (when sketched), and
-    /// fills `classes`.
-    fn classify_tile<'a>(
+    /// One batched call per (query, tile): SIMD dot + banded
+    /// classification of every candidate in `tile` into `classes`.
+    fn classify_tile(
         &self,
         fq: &FastQuery<'_>,
-        sieve: &'a mut SketchSieve,
         classes: &mut Vec<u8>,
-        tile: &'a [u32],
+        tile: &[u32],
         t2: f64,
         dim: usize,
-    ) -> (&'a [u32], Option<&'a [u32]>) {
-        let (surv, pos) = sieve.prefilter(self, fq, tile, t2);
-        classes.resize(surv.len(), 0);
-        let contiguous = is_contiguous_run(surv);
+    ) {
+        classes.resize(tile.len(), 0);
+        let contiguous = is_contiguous_run(tile);
         if contiguous {
-            // Contiguous candidates (the whole-set scan, and sketched
-            // tiles where nothing was rejected): the dimension-major run
-            // kernel — no gathers, no horizontal sums.
+            // Contiguous candidates (the whole-set scan): the
+            // dimension-major run kernel — no gathers, no horizontal sums.
             simd::classify_f32_run(
                 fq.a32,
                 self.soa.cols(),
@@ -193,7 +175,7 @@ impl Fast<'_> {
                 self.soa.raw(),
                 self.soa.norms(),
                 dim,
-                surv[0] as usize,
+                tile[0] as usize,
                 fq.na32,
                 t2,
                 self.band_scale,
@@ -205,7 +187,7 @@ impl Fast<'_> {
                 self.soa.raw(),
                 self.soa.norms(),
                 dim,
-                surv,
+                tile,
                 fq.na32,
                 t2,
                 self.band_scale,
@@ -214,14 +196,12 @@ impl Fast<'_> {
         }
         self.counters.record_single(
             contiguous,
-            surv.len(),
-            tile.len() - surv.len(),
+            tile.len(),
             classes
                 .iter()
                 .filter(|&&cl| cl == simd::CLASS_EXACT)
                 .count(),
         );
-        (surv, pos)
     }
 }
 
@@ -231,91 +211,6 @@ impl Fast<'_> {
 #[inline]
 fn is_contiguous_run(ids: &[u32]) -> bool {
     ids.len() >= 8 && ids.windows(2).all(|w| w[1] == w[0] + 1)
-}
-
-/// Once a sieve has judged this many pairs, its cumulative certified-
-/// reject rate decides whether the sketch keeps running for the rest of
-/// the scan (see [`SketchSieve::prefilter`]).
-const SIEVE_SAMPLE: usize = 2048;
-/// Keep the sketch only while it certifies at least 1-in-`SIEVE_MIN_RATE`
-/// rejects over the sample — below that its popcounts cost more than the
-/// dot products they skip.
-const SIEVE_MIN_RATE: usize = 16;
-
-/// Reusable sketch-prefilter scratch — allocated once per bulk kernel
-/// call, resized per tile, so the batched tile kernels in [`crate::simd`]
-/// run one call frame per tile with no per-pair allocation. Also carries
-/// the scan's adaptive on/off state (see [`SketchSieve::prefilter`]).
-#[derive(Default)]
-struct SketchSieve {
-    /// Batched sketch lower bounds over the tile.
-    lb2: Vec<f64>,
-    /// Candidate ids the sketch could not reject, in tile order.
-    ids: Vec<u32>,
-    /// Their positions within the tile (parallel to `ids`).
-    pos: Vec<u32>,
-    /// Pairs this scan has sketch-judged so far.
-    tested: usize,
-    /// How many of them the sketch certified as rejects.
-    rejected: usize,
-}
-
-impl SketchSieve {
-    /// Sketch-prefilters `tile`: batch-computes lower bounds and keeps the
-    /// candidates the sketch cannot certify as rejected at squared
-    /// threshold `t2`.
-    /// Returns `(survivor_ids, Some(their_tile_positions))`, or the whole
-    /// tile with `None` when the sketch was skipped. Certified rejects are
-    /// exactly the pairs [`Sketch::certified_reject`] rejects, so dropping
-    /// them here cannot change any verdict — only skip their dot products.
-    ///
-    /// The sieve is **adaptive**: a certified reject is never wrong, but
-    /// at a τ near or above the data's typical distances it is also never
-    /// *available*, and then the popcounts are pure overhead. So the sieve
-    /// tracks its cumulative reject rate and switches itself off for the
-    /// remainder of the scan once a [`SIEVE_SAMPLE`]-pair sample shows the
-    /// rate under 1/[`SIEVE_MIN_RATE`]. Skipped pairs flow to the banded
-    /// estimate + exact fallback, which decides every pair correctly on
-    /// its own — the adaptivity moves cycles, never verdicts. It depends
-    /// only on data and tile order, not thread count or timing.
-    fn prefilter<'a>(
-        &'a mut self,
-        fast: &Fast<'_>,
-        fq: &FastQuery<'_>,
-        tile: &'a [u32],
-        t2: f64,
-    ) -> (&'a [u32], Option<&'a [u32]>) {
-        let (Some(sk), Some(qa)) = (fast.sketch, fq.qsk) else {
-            return (tile, None);
-        };
-        if self.tested >= SIEVE_SAMPLE && self.rejected * SIEVE_MIN_RATE < self.tested {
-            return (tile, None);
-        }
-        self.lb2.resize(tile.len(), 0.0);
-        sk.lower_bounds_sq_indexed(qa, tile, &mut self.lb2);
-        let margin = sk.margin();
-        // Same predicate as `Sketch::certified_reject`; `!reject` keeps
-        // NaN thresholds on the survivor (exact-evaluation) side.
-        let rejects = self.lb2.iter().filter(|&&lb2| lb2 * margin > t2).count();
-        self.tested += tile.len();
-        self.rejected += rejects;
-        // A near-empty reject set is not worth compacting: handing the
-        // whole tile to the contiguous-run kernel beats gathering the
-        // survivor list, and the few rejects re-decide cheaply there.
-        if rejects * 8 < tile.len() {
-            return (tile, None);
-        }
-        self.ids.clear();
-        self.pos.clear();
-        for (p, (&c, &lb2)) in tile.iter().zip(&self.lb2).enumerate() {
-            let reject = lb2 * margin > t2;
-            if !reject {
-                self.ids.push(c);
-                self.pos.push(p as u32);
-            }
-        }
-        (&self.ids, Some(&self.pos))
-    }
 }
 
 impl EuclideanSpace {
@@ -334,7 +229,6 @@ impl EuclideanSpace {
             sq_norms,
             tier: SpeedTier::from_env(),
             soa: OnceLock::new(),
-            sketch: OnceLock::new(),
             counters: KernelCounters::default(),
         }
     }
@@ -365,12 +259,7 @@ impl EuclideanSpace {
     ///   [`EuclideanSpace::new`]'s batch pass;
     /// * a built f32 SoA mirror is **extended** via [`SoaStorage::push`]
     ///   (amortized O(dim) — geometric lane re-striding), yielding values
-    ///   bit-identical to a from-scratch build over the extended set;
-    /// * a built Hamming sketch is invalidated and lazily rebuilt on the
-    ///   next sketch-tier kernel call: its thermometer quantization step
-    ///   is calibrated from the whole population, so per-point extension
-    ///   would drift from the deterministic batch construction that the
-    ///   certified-reject proof (and cross-tier digest CI) relies on.
+    ///   bit-identical to a from-scratch build over the extended set.
     ///
     /// Verdicts after an insert remain bit-identical across speed tiers,
     /// exactly as for batch-constructed spaces.
@@ -380,12 +269,11 @@ impl EuclideanSpace {
         if let Some(soa) = self.soa.get_mut() {
             soa.push(coords);
         }
-        self.sketch.take();
         id
     }
 
     /// Resolves the fast-path context for a bulk kernel call, building the
-    /// f32 mirror / sketch on first use. `None` when the tier is exact or
+    /// f32 mirror on first use. `None` when the tier is exact or
     /// the rows are too narrow to benefit (below [`GRAM_MIN_DIM`] the
     /// plain diff loop already wins — same gate as the f64 Gram path).
     /// Kernels call this **before** any parallel fan-out so the lazy
@@ -396,13 +284,8 @@ impl EuclideanSpace {
             return None;
         }
         let soa = self.soa.get_or_init(|| SoaStorage::build(&self.points));
-        let sketch = self
-            .tier
-            .uses_sketch()
-            .then(|| self.sketch.get_or_init(|| Sketch::build(&self.points)));
         Some(Fast {
             soa,
-            sketch,
             band_scale: f32_band_scale(dim),
             counters: &self.counters,
         })
@@ -478,48 +361,29 @@ impl EuclideanSpace {
         let fast = self.fast();
         let mut rows: Vec<R> = std::iter::repeat_with(R::default).take(qs.len()).collect();
         // Per-call scratch for the batched tile kernels (fast/Gram paths).
-        let mut sieve = SketchSieve::default();
         let mut classes: Vec<u8> = Vec::new();
         let mut dots64: Vec<f64> = Vec::new();
         let mut verdicts: Vec<bool> = Vec::new();
         for tile in candidates.chunks(tile_len(dim, if fast.is_some() { 4 } else { 8 })) {
             for (row, &q) in rows.iter_mut().zip(qs) {
                 if let Some(fast) = &fast {
-                    // SoA tiers: optional batched certified sketch rejects,
-                    // then one batched SIMD dot + banded classification
-                    // over the survivors — bit-identical verdicts.
+                    // SoA tier: one batched SIMD dot + banded
+                    // classification over the tile — bit-identical
+                    // verdicts. Bulk keep/reject translation (vectorizable
+                    // byte compare), then exact fallbacks only if the tile
+                    // had any band hit (`contains` is a SIMD scan).
                     let fq = fast.query(q as usize, data, dim);
-                    let (surv, pos) =
-                        fast.classify_tile(&fq, &mut sieve, &mut classes, tile, t2, dim);
-                    match pos {
-                        // No sketch: survivors are the whole tile. Bulk
-                        // keep/reject translation (vectorizable byte
-                        // compare), then exact fallbacks only if the tile
-                        // had any band hit (`contains` is a SIMD scan).
-                        None => {
-                            verdicts.clear();
-                            verdicts.extend(classes.iter().map(|&cl| cl == simd::CLASS_KEEP));
-                            if classes.contains(&simd::CLASS_EXACT) {
-                                for ((v, &cl), &c) in verdicts.iter_mut().zip(&classes).zip(surv) {
-                                    if cl == simd::CLASS_EXACT {
-                                        *v = Fast::resolve(&fq, c as usize, cl, t2, data, dim);
-                                    }
-                                }
+                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
+                    verdicts.clear();
+                    verdicts.extend(classes.iter().map(|&cl| cl == simd::CLASS_KEEP));
+                    if classes.contains(&simd::CLASS_EXACT) {
+                        for ((v, &cl), &c) in verdicts.iter_mut().zip(&classes).zip(tile) {
+                            if cl == simd::CLASS_EXACT {
+                                *v = Fast::resolve(&fq, c as usize, cl, t2, data, dim);
                             }
-                            emit(row, surv, &verdicts);
-                        }
-                        // Sketched: scatter survivor verdicts over the
-                        // tile (rejects stay `false`), then emit in order.
-                        Some(pos) => {
-                            verdicts.clear();
-                            verdicts.resize(tile.len(), false);
-                            for (k, (&c, &cl)) in surv.iter().zip(&classes).enumerate() {
-                                verdicts[pos[k] as usize] =
-                                    Fast::resolve(&fq, c as usize, cl, t2, data, dim);
-                            }
-                            emit(row, tile, &verdicts);
                         }
                     }
+                    emit(row, tile, &verdicts);
                     continue;
                 }
                 let a = &data[q as usize * dim..q as usize * dim + dim];
@@ -603,17 +467,15 @@ impl MetricSpace for EuclideanSpace {
         let scan = |chunk: &[u32]| {
             if let Some(fast) = &fast {
                 let fq = fast.query(v.idx(), data, dim);
-                let mut sieve = SketchSieve::default();
                 let mut classes: Vec<u8> = Vec::new();
                 let mut count = 0usize;
                 for tile in chunk.chunks(tile_len(dim, 4)) {
-                    let (surv, _) =
-                        fast.classify_tile(&fq, &mut sieve, &mut classes, tile, t2, dim);
+                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
                     // Bulk keep count (vectorized byte compare); band hits
                     // are resolved exactly only when the tile has any.
                     count += classes.iter().filter(|&&cl| cl == simd::CLASS_KEEP).count();
                     if classes.contains(&simd::CLASS_EXACT) {
-                        count += surv
+                        count += tile
                             .iter()
                             .zip(&classes)
                             .filter(|&(&c, &cl)| {
@@ -657,13 +519,11 @@ impl MetricSpace for EuclideanSpace {
         let filter_chunk = |chunk: &[u32]| -> Vec<u32> {
             if let Some(fast) = &fast {
                 let fq = fast.query(v.idx(), data, dim);
-                let mut sieve = SketchSieve::default();
                 let mut classes: Vec<u8> = Vec::new();
                 let mut out = Vec::new();
                 for tile in chunk.chunks(tile_len(dim, 4)) {
-                    let (surv, _) =
-                        fast.classify_tile(&fq, &mut sieve, &mut classes, tile, t2, dim);
-                    out.extend(surv.iter().zip(&classes).filter_map(|(&c, &cl)| {
+                    fast.classify_tile(&fq, &mut classes, tile, t2, dim);
+                    out.extend(tile.iter().zip(&classes).filter_map(|(&c, &cl)| {
                         Fast::resolve(&fq, c as usize, cl, t2, data, dim).then_some(c)
                     }));
                 }
@@ -790,8 +650,8 @@ impl MetricSpace for EuclideanSpace {
     }
 
     /// Snapshot of the cumulative fast-path kernel tallies (pairs routed
-    /// through each SIMD classifier, sketch-certified rejects, exact band
-    /// fallbacks) since this space was created.
+    /// through each SIMD classifier, exact band fallbacks) since this space
+    /// was created.
     fn kernel_stats(&self) -> Option<KernelStats> {
         Some(self.counters.snapshot())
     }

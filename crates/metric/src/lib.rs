@@ -33,7 +33,6 @@ pub mod matrix;
 pub mod minkowski;
 pub mod point;
 pub mod simd;
-pub mod sketch;
 pub mod soa;
 pub mod space;
 pub mod validate;

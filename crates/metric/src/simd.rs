@@ -76,22 +76,6 @@ pub fn lane() -> Lane {
     *LANE.get_or_init(detect)
 }
 
-/// One-time POPCNT probe (cached). Separate from [`lane`]: every AVX2 part
-/// shipped also has POPCNT, but the baseline x86-64 target does *not*
-/// include it, so `u64::count_ones` compiles to a ~20-op bit-twiddling
-/// fallback unless the call site is compiled with the feature enabled —
-/// which is exactly what [`sketch_lb2_indexed`] dispatches on.
-#[inline]
-fn has_popcnt() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static POPCNT: OnceLock<bool> = OnceLock::new();
-        *POPCNT.get_or_init(|| std::arch::is_x86_feature_detected!("popcnt"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 /// f64 dot product on the widest available lane. Feeds the Gram
 /// **estimate** only — see the module docs for why reordering is safe.
 #[inline]
@@ -354,64 +338,6 @@ fn classify_one(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
         CLASS_REJECT
     } else {
         CLASS_EXACT
-    }
-}
-
-/// Batched sketch lower bounds: `out[i] = Σ_j (max(H_j − pad_j, 0))² ·
-/// w_lo_sq_j` over the `m` per-direction limbs, where `H_j` is the Hamming
-/// distance between query limb `q[j]` and candidate limb `j` of point
-/// `idx[i]`. This is [`crate::sketch::Sketch::lower_bound_sq`] batched per
-/// tile and dispatched onto a POPCNT-enabled body when the host has it —
-/// the scalar `count_ones` fallback alone costs more than the dot product
-/// the sketch is trying to save.
-#[inline]
-pub fn sketch_lb2_indexed(
-    q: &[u64],
-    limbs: &[u64],
-    m: usize,
-    idx: &[u32],
-    pad: &[u32],
-    w_lo_sq: &[f64],
-    out: &mut [f64],
-) {
-    debug_assert_eq!(idx.len(), out.len());
-    debug_assert_eq!(q.len(), m);
-    if has_popcnt() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: POPCNT was runtime-detected on this host.
-        unsafe {
-            x86::sketch_lb2_indexed_popcnt(q, limbs, m, idx, pad, w_lo_sq, out)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        sketch_lb2_indexed_body(q, limbs, m, idx, pad, w_lo_sq, out)
-    } else {
-        sketch_lb2_indexed_body(q, limbs, m, idx, pad, w_lo_sq, out)
-    }
-}
-
-/// The one shared body behind [`sketch_lb2_indexed`]: compiled once at the
-/// crate's baseline features and once inlined into the POPCNT-enabled
-/// wrapper (`#[inline(always)]` lets the wrapper's `#[target_feature]`
-/// apply to this loop, turning `count_ones` into a single instruction).
-#[inline(always)]
-fn sketch_lb2_indexed_body(
-    q: &[u64],
-    limbs: &[u64],
-    m: usize,
-    idx: &[u32],
-    pad: &[u32],
-    w_lo_sq: &[f64],
-    out: &mut [f64],
-) {
-    for (o, &c) in out.iter_mut().zip(idx) {
-        let row = &limbs[c as usize * m..c as usize * m + m];
-        let mut lb2 = 0.0;
-        for j in 0..m {
-            let h = (q[j] ^ row[j]).count_ones();
-            let g = h.saturating_sub(pad[j]);
-            lb2 += (g * g) as f64 * w_lo_sq[j];
-        }
-        *o = lb2;
     }
 }
 
@@ -877,22 +803,6 @@ mod x86 {
         let quad = _mm_add_ps(lo, hi);
         let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
         _mm_cvtss_f32(_mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0b01)))
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports POPCNT (see
-    /// [`super::sketch_lb2_indexed`]).
-    #[target_feature(enable = "popcnt")]
-    pub unsafe fn sketch_lb2_indexed_popcnt(
-        q: &[u64],
-        limbs: &[u64],
-        m: usize,
-        idx: &[u32],
-        pad: &[u32],
-        w_lo_sq: &[f64],
-        out: &mut [f64],
-    ) {
-        super::sketch_lb2_indexed_body(q, limbs, m, idx, pad, w_lo_sq, out);
     }
 
     /// # Safety

@@ -37,10 +37,10 @@
 //! The mirror keeps **both** orientations of the f32 coordinates:
 //!
 //! * **row-major** (`rows`) for arbitrary candidate lists — round-robin
-//!   partitions and sketch survivors hand the kernels scattered id sets,
+//!   partitions hand the kernels scattered id sets,
 //!   where dimension-major storage would gather every candidate across
 //!   `dim` cache lines;
-//! * **dimension-major** (`cols`, the transpose the issue sketched) for
+//! * **dimension-major** (`cols`, the transpose of `rows`) for
 //!   *contiguous* candidate runs — the common case when a kernel scans all
 //!   of `0..n`. There the run kernel broadcasts one query coordinate and
 //!   FMA-accumulates eight consecutive candidates per register with **no
@@ -65,35 +65,47 @@ pub enum SpeedTier {
     Exact,
     /// f32 SoA mirror + banded f32 estimates in the bulk threshold kernels.
     Soa,
-    /// [`SpeedTier::Soa`] plus the Hamming sketch prefilter
-    /// ([`crate::sketch`]) in front of the estimate. The end-to-end
-    /// benchmark selects this variant by name; keep it until the next
-    /// benchmark change.
-    SoaSketch,
 }
 
 impl SpeedTier {
+    /// The former `soa+sketch` tier, now the same tier as
+    /// [`SpeedTier::Soa`]. The end-to-end benchmark selects it by name;
+    /// keep it until the next benchmark change.
+    #[allow(non_upper_case_globals)]
+    pub const SoaSketch: SpeedTier = SpeedTier::Soa;
+
     /// Parses a `KCENTER_SPEED` value. Unrecognized strings yield `None`.
     pub fn parse(s: &str) -> Option<SpeedTier> {
         match s.trim() {
             "exact" => Some(SpeedTier::Exact),
             "soa" => Some(SpeedTier::Soa),
-            "soa+sketch" | "sketch" => Some(SpeedTier::SoaSketch),
             _ => None,
         }
     }
 
-    /// The process-default tier: `KCENTER_SPEED` if set and valid, else
+    /// Parses an optional `KCENTER_SPEED` value: unset or empty means
+    /// [`SpeedTier::Exact`], anything else must name a tier. The error
+    /// lists the allowed values.
+    pub fn parse_env(value: Option<&str>) -> Result<SpeedTier, String> {
+        match value.map(str::trim).unwrap_or("") {
+            "" => Ok(SpeedTier::default()),
+            s => SpeedTier::parse(s).ok_or_else(|| {
+                format!("KCENTER_SPEED={s:?} is not a speed tier (expected one of: exact, soa)")
+            }),
+        }
+    }
+
+    /// The process-default tier: `KCENTER_SPEED` if set, else
     /// [`SpeedTier::Exact`]. Read once and cached (mirrors
-    /// `KCENTER_THREADS` in the rayon shim); invalid values fall back to
-    /// `Exact`, matching the shim's lenient env handling.
+    /// `KCENTER_THREADS` in the rayon shim).
+    ///
+    /// # Panics
+    /// If `KCENTER_SPEED` is set to anything but a tier name.
     pub fn from_env() -> SpeedTier {
         static TIER: OnceLock<SpeedTier> = OnceLock::new();
         *TIER.get_or_init(|| {
-            std::env::var("KCENTER_SPEED")
-                .ok()
-                .and_then(|s| SpeedTier::parse(&s))
-                .unwrap_or_default()
+            let value = std::env::var("KCENTER_SPEED").ok();
+            SpeedTier::parse_env(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
         })
     }
 
@@ -104,20 +116,13 @@ impl SpeedTier {
         match self {
             SpeedTier::Exact => "exact",
             SpeedTier::Soa => "soa",
-            SpeedTier::SoaSketch => "soa+sketch",
         }
     }
 
     /// Whether this tier consults the f32 SoA mirror.
     #[inline]
     pub fn uses_soa(self) -> bool {
-        !matches!(self, SpeedTier::Exact)
-    }
-
-    /// Whether this tier consults the Hamming sketch prefilter.
-    #[inline]
-    pub fn uses_sketch(self) -> bool {
-        matches!(self, SpeedTier::SoaSketch)
+        self == SpeedTier::Soa
     }
 }
 
@@ -274,19 +279,30 @@ mod tests {
 
     #[test]
     fn parse_round_trips_names() {
-        for tier in [SpeedTier::Exact, SpeedTier::Soa, SpeedTier::SoaSketch] {
+        for tier in [SpeedTier::Exact, SpeedTier::Soa] {
             assert_eq!(SpeedTier::parse(tier.name()), Some(tier));
         }
         assert_eq!(SpeedTier::parse(" soa "), Some(SpeedTier::Soa));
         assert_eq!(SpeedTier::parse("warp9"), None);
         assert_eq!(SpeedTier::default(), SpeedTier::Exact);
+        assert_eq!(SpeedTier::SoaSketch, SpeedTier::Soa);
+    }
+
+    #[test]
+    fn env_values_are_validated() {
+        assert_eq!(SpeedTier::parse_env(None), Ok(SpeedTier::Exact));
+        assert_eq!(SpeedTier::parse_env(Some("")), Ok(SpeedTier::Exact));
+        assert_eq!(SpeedTier::parse_env(Some("soa")), Ok(SpeedTier::Soa));
+        for removed in ["soa+sketch", "sketch", "fast"] {
+            let err = SpeedTier::parse_env(Some(removed)).unwrap_err();
+            assert!(err.contains("exact, soa"), "{err}");
+        }
     }
 
     #[test]
     fn tier_layer_gates() {
-        assert!(!SpeedTier::Exact.uses_soa() && !SpeedTier::Exact.uses_sketch());
-        assert!(SpeedTier::Soa.uses_soa() && !SpeedTier::Soa.uses_sketch());
-        assert!(SpeedTier::SoaSketch.uses_soa() && SpeedTier::SoaSketch.uses_sketch());
+        assert!(!SpeedTier::Exact.uses_soa());
+        assert!(SpeedTier::Soa.uses_soa());
     }
 
     #[test]

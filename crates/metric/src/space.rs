@@ -364,18 +364,18 @@ pub trait MetricSpace: Sync {
 }
 
 /// Cumulative fast-path kernel hit counts for one metric space — which
-/// SIMD classifier each pair went through, how many pairs the sketch
-/// certified away, and how often the banded estimate had to fall back to
-/// the exact evaluation. Pure observability: tallies never influence any
-/// verdict. All counts are in pairs.
+/// SIMD classifier each pair went through and how often the banded
+/// estimate had to fall back to the exact evaluation. Pure observability:
+/// tallies never influence any verdict. All counts are in pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Pairs classified by the contiguous-run kernel (`classify_f32_run`).
     pub run_pairs: u64,
     /// Pairs classified by the indexed kernel (`classify_f32_indexed`).
     pub indexed_pairs: u64,
-    /// Pairs the sketch sieve certified as rejects (no dot computed). The
-    /// end-to-end benchmark reads this field by name.
+    /// Always 0: the sketch prefilter that counted certified rejects is
+    /// gone. The end-to-end benchmark reads this field by name; keep it
+    /// until the next benchmark change.
     pub sketch_rejects: u64,
     /// Pairs re-decided by the exact f64 evaluation after a band hit. The
     /// end-to-end benchmark reads this field by name.
@@ -391,9 +391,8 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Total pairs the fast-path classifiers judged (excluding
-    /// sketch-rejected pairs, which never reach a classifier). The
-    /// end-to-end benchmark reads this by name.
+    /// Total pairs the fast-path classifiers judged. The end-to-end
+    /// benchmark reads this by name.
     pub fn classified_pairs(&self) -> u64 {
         self.run_pairs + self.indexed_pairs
     }
@@ -403,7 +402,6 @@ impl KernelStats {
     pub fn merge(&mut self, other: &KernelStats) {
         self.run_pairs += other.run_pairs;
         self.indexed_pairs += other.indexed_pairs;
-        self.sketch_rejects += other.sketch_rejects;
         self.exact_fallbacks += other.exact_fallbacks;
         self.grid_cells += other.grid_cells;
         self.grid_stencil_cells += other.grid_stencil_cells;

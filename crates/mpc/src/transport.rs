@@ -14,12 +14,8 @@
 //!   answers loudly instead of silently. Arenas and the wire buffer are
 //!   reused across rounds — steady-state rounds allocate nothing for
 //!   framing.
-//! * [`TransportKind::Process`] — `m` spawned worker processes carry the
-//!   frames over OS pipes (see [`crate::process`]); workers tally their
-//!   own sent/received bytes, which are cross-checked against the ledger
-//!   at every round barrier.
 //!
-//! Selected by `KCENTER_TRANSPORT=sim|loopback|process` (default `sim`).
+//! Selected by `KCENTER_TRANSPORT=sim|loopback` (default `sim`).
 //!
 //! ### Accounting invariant
 //!
@@ -39,7 +35,6 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::process::{frames_fnv, ProcessPool};
 use crate::wire::{
     decode_frame, encode_frame, fnv64, FrameHeader, Wire, FRAME_HEADER_BYTES, WORD_BYTES,
 };
@@ -52,24 +47,29 @@ pub enum TransportKind {
     Sim,
     /// In-process byte-level wire round-trip.
     Loopback,
-    /// Multi-process workers over pipes.
-    Process,
 }
 
 impl TransportKind {
-    /// Reads `KCENTER_TRANSPORT`; unset or empty means [`Self::Sim`].
-    /// Unknown values panic — a typo must not silently fall back to the
+    /// Parses an optional `KCENTER_TRANSPORT` value; unset or empty means
+    /// [`Self::Sim`]. The error lists the allowed values.
+    pub fn parse_env(value: Option<&str>) -> Result<Self, String> {
+        match value.unwrap_or("") {
+            "" | "sim" => Ok(Self::Sim),
+            "loopback" => Ok(Self::Loopback),
+            other => Err(format!(
+                "KCENTER_TRANSPORT={other:?} is not a transport (expected one of: sim, loopback)"
+            )),
+        }
+    }
+
+    /// Reads `KCENTER_TRANSPORT` (see [`Self::parse_env`]).
+    ///
+    /// # Panics
+    /// On an unknown value — a typo must not silently fall back to the
     /// simulator when the caller asked for real wire traffic.
     pub fn from_env() -> Self {
-        match std::env::var("KCENTER_TRANSPORT") {
-            Err(_) => Self::Sim,
-            Ok(v) => match v.as_str() {
-                "" | "sim" => Self::Sim,
-                "loopback" => Self::Loopback,
-                "process" => Self::Process,
-                other => panic!("KCENTER_TRANSPORT={other:?} is not one of sim|loopback|process"),
-            },
-        }
+        let value = std::env::var("KCENTER_TRANSPORT").ok();
+        Self::parse_env(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Stable lowercase name (matches the env-var vocabulary).
@@ -77,7 +77,6 @@ impl TransportKind {
         match self {
             Self::Sim => "sim",
             Self::Loopback => "loopback",
-            Self::Process => "process",
         }
     }
 }
@@ -123,15 +122,10 @@ pub struct WireStats {
     pub encode_s: f64,
     /// Wall-clock spent decoding frames, in seconds.
     pub decode_s: f64,
-    /// Wall-clock spent moving bytes (memcpy or pipe IPC), in seconds.
+    /// Wall-clock spent moving bytes (memcpy), in seconds.
     pub transit_s: f64,
     /// High-water mark of arena + wire buffer capacity, in bytes.
     pub arena_high_water: u64,
-    /// Cross-check failures: echoed bytes differing from what was encoded,
-    /// worker-measured byte counters disagreeing with the ledger × 8, or
-    /// delivery fingerprints not matching. Always a transport bug; the
-    /// acceptance bar is zero.
-    pub conformance_violations: u64,
 }
 
 impl WireStats {
@@ -147,7 +141,6 @@ impl WireStats {
             decode_s: 0.0,
             transit_s: 0.0,
             arena_high_water: 0,
-            conformance_violations: 0,
         }
     }
 
@@ -164,7 +157,6 @@ impl WireStats {
             decode_s: self.decode_s,
             transit_s: self.transit_s,
             arena_high_water_bytes: self.arena_high_water,
-            conformance_violations: self.conformance_violations,
         }
     }
 }
@@ -188,15 +180,13 @@ pub struct WireSummary {
     pub encode_s: f64,
     /// Seconds decoding.
     pub decode_s: f64,
-    /// Seconds in transit (memcpy / pipes).
+    /// Seconds in transit (memcpy).
     pub transit_s: f64,
     /// Arena + wire buffer capacity high-water mark.
     pub arena_high_water_bytes: u64,
-    /// Cross-check failures (acceptance bar: zero).
-    pub conformance_violations: u64,
 }
 
-/// Buffers and counters shared by the wire backends.
+/// The loopback backend's buffers and counters.
 #[derive(Debug)]
 pub(crate) struct WireState {
     /// Per-machine encode arenas, reused every round.
@@ -217,30 +207,18 @@ impl WireState {
     }
 }
 
-/// The process backend's state: wire buffers plus the worker pool.
-#[derive(Debug)]
-pub(crate) struct ProcessTransport {
-    pub(crate) state: WireState,
-    pub(crate) pool: ProcessPool,
-}
-
 /// A cluster's transport backend.
 #[derive(Debug)]
 pub(crate) enum Backend {
     Sim,
     Loopback(Box<WireState>),
-    Process(Box<ProcessTransport>),
 }
 
 impl Backend {
-    pub(crate) fn new(kind: TransportKind, m: usize, seed: u64) -> Self {
+    pub(crate) fn new(kind: TransportKind, m: usize) -> Self {
         match kind {
             TransportKind::Sim => Self::Sim,
             TransportKind::Loopback => Self::Loopback(Box::new(WireState::new(kind, m))),
-            TransportKind::Process => Self::Process(Box::new(ProcessTransport {
-                state: WireState::new(kind, m),
-                pool: ProcessPool::spawn(m, seed),
-            })),
         }
     }
 
@@ -248,7 +226,6 @@ impl Backend {
         match self {
             Self::Sim => TransportKind::Sim,
             Self::Loopback(_) => TransportKind::Loopback,
-            Self::Process(_) => TransportKind::Process,
         }
     }
 
@@ -260,15 +237,13 @@ impl Backend {
         match self {
             Self::Sim => None,
             Self::Loopback(s) => Some(&s.stats),
-            Self::Process(p) => Some(&p.state.stats),
         }
     }
 
-    fn wire_parts(&mut self) -> Option<(&mut WireState, Option<&mut ProcessPool>)> {
+    fn wire_state(&mut self) -> Option<&mut WireState> {
         match self {
             Self::Sim => None,
-            Self::Loopback(s) => Some((s, None)),
-            Self::Process(p) => Some((&mut p.state, Some(&mut p.pool))),
+            Self::Loopback(s) => Some(s),
         }
     }
 }
@@ -316,7 +291,7 @@ struct FrameRef {
 }
 
 /// Runs one collective round over the wire: encode every message into its
-/// source arena, transit the frames (memcpy or worker pipes), decode from
+/// source arena, copy the frames across the wire buffer, decode from
 /// the transited bytes. Returns the decoded payloads, one per message in
 /// order — these are authoritative; callers continue with them, not with
 /// the originals. Also appends the round's [`WireRound`] row (1:1 with the
@@ -328,7 +303,7 @@ pub(crate) fn wire_round<T: Wire>(
     weight: u64,
     msgs: &[WireMsg<'_, T>],
 ) -> Vec<Vec<T>> {
-    let (state, pool) = backend.wire_parts().expect("wire_round on a sim backend");
+    let state = backend.wire_state().expect("wire_round on a sim backend");
 
     let t0 = Instant::now();
     for arena in &mut state.arenas {
@@ -349,7 +324,7 @@ pub(crate) fn wire_round<T: Wire>(
     }
     state.stats.encode_s += t0.elapsed().as_secs_f64();
 
-    let rx_ranges = transit_and_record(state, pool, m, label, &frames);
+    let rx_ranges = transit_and_record(state, m, label, &frames);
 
     let t2 = Instant::now();
     let mut out = Vec::with_capacity(msgs.len());
@@ -371,7 +346,7 @@ pub(crate) fn wire_round<T: Wire>(
 
 /// The payload-less variant for [`crate::Cluster::broadcast`]: the caller
 /// declares `count` items of `weight` words from `src` to everyone else,
-/// with no values attached. The wire backends ship a synthetic
+/// with no values attached. The loopback backend ships a synthetic
 /// deterministic pattern of exactly that size (integrity-checked, never
 /// decoded) so broadcast rounds still move real bytes.
 pub(crate) fn wire_round_synthetic(
@@ -382,7 +357,7 @@ pub(crate) fn wire_round_synthetic(
     count: u64,
     weight: u64,
 ) {
-    let (state, pool) = backend.wire_parts().expect("wire_round on a sim backend");
+    let state = backend.wire_state().expect("wire_round on a sim backend");
 
     let t0 = Instant::now();
     for arena in &mut state.arenas {
@@ -413,7 +388,7 @@ pub(crate) fn wire_round_synthetic(
     };
     state.stats.encode_s += t0.elapsed().as_secs_f64();
 
-    let rx_ranges = transit_and_record(state, pool, m, label, &frames);
+    let rx_ranges = transit_and_record(state, m, label, &frames);
 
     let t2 = Instant::now();
     for (frame, range) in frames.iter().zip(&rx_ranges) {
@@ -434,7 +409,6 @@ pub(crate) fn wire_round_synthetic(
 /// Returns where each frame's transited bytes landed in the wire buffer.
 fn transit_and_record(
     state: &mut WireState,
-    pool: Option<&mut ProcessPool>,
     m: usize,
     label: &str,
     frames: &[FrameRef],
@@ -452,24 +426,19 @@ fn transit_and_record(
         }
     }
 
+    // One physical copy per frame across the wire buffer (the logical
+    // fan-out is accounting, not extra memcpy — same as a real broadcast
+    // medium).
     let t1 = Instant::now();
-    let rx_ranges = match pool {
-        None => {
-            // Loopback: one physical copy per frame across the wire buffer
-            // (the logical fan-out is accounting, not extra memcpy — same
-            // as a real broadcast medium).
-            let WireState { arenas, rx, .. } = state;
-            frames
-                .iter()
-                .map(|f| {
-                    let start = rx.len();
-                    rx.extend_from_slice(&arenas[f.src][f.range.clone()]);
-                    start..rx.len()
-                })
-                .collect()
-        }
-        Some(pool) => process_transit(state, pool, m, label, frames, &io),
-    };
+    let WireState { arenas, rx, .. } = state;
+    let rx_ranges = frames
+        .iter()
+        .map(|f| {
+            let start = rx.len();
+            rx.extend_from_slice(&arenas[f.src][f.range.clone()]);
+            start..rx.len()
+        })
+        .collect();
     state.stats.transit_s += t1.elapsed().as_secs_f64();
 
     let stats = &mut state.stats;
@@ -490,70 +459,6 @@ fn transit_and_record(
     rx_ranges
 }
 
-/// The process backend's transit: every frame makes a send leg through its
-/// source worker (the echoed bytes become authoritative) and a deliver leg
-/// to each destination worker; worker-measured counters are cross-checked
-/// against the coordinator's expected [`ByteIo`] rows.
-fn process_transit(
-    state: &mut WireState,
-    pool: &mut ProcessPool,
-    m: usize,
-    label: &str,
-    frames: &[FrameRef],
-    expected: &[ByteIo],
-) -> Vec<std::ops::Range<usize>> {
-    let WireState { arenas, rx, stats } = state;
-    let mut rx_ranges: Vec<std::ops::Range<usize>> = vec![0..0; frames.len()];
-
-    // Send legs: every worker participates every round (lockstep), even
-    // with zero frames to originate.
-    for src in 0..m {
-        let idxs: Vec<usize> = frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.src == src)
-            .map(|(i, _)| i)
-            .collect();
-        let batch: Vec<(Vec<u32>, &[u8])> = idxs
-            .iter()
-            .map(|&i| {
-                let f = &frames[i];
-                let dsts: Vec<u32> = match f.dst {
-                    Dst::AllOthers => (0..m).filter(|&j| j != src).map(|j| j as u32).collect(),
-                    Dst::One(d) => vec![d as u32],
-                };
-                (dsts, &arenas[src][f.range.clone()])
-            })
-            .collect();
-        let (ranges, worker_sent, echo_mismatches) = pool.send_leg(src, label, &batch, rx);
-        stats.conformance_violations += echo_mismatches;
-        if worker_sent != expected[src].sent {
-            stats.conformance_violations += 1;
-        }
-        for (k, &i) in idxs.iter().enumerate() {
-            rx_ranges[i] = ranges[k].clone();
-        }
-    }
-
-    // Deliver legs: route each transited frame to its destinations.
-    for (dst, exp) in expected.iter().enumerate() {
-        let slices: Vec<&[u8]> = frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.dst.targets(f.src, dst))
-            .map(|(i, _)| &rx[rx_ranges[i].clone()])
-            .collect();
-        let (worker_fnv, worker_sent, worker_received) = pool.deliver_leg(dst, label, &slices);
-        if worker_fnv != frames_fnv(&slices) {
-            stats.conformance_violations += 1;
-        }
-        if worker_sent != exp.sent || worker_received != exp.received {
-            stats.conformance_violations += 1;
-        }
-    }
-    rx_ranges
-}
-
 /// Setup-plane shard shipping (see [`crate::Cluster::ship_shards`]): the
 /// frames move (and are validated) but the ledger is never touched, so
 /// algorithm round/word counts stay identical across backends.
@@ -563,7 +468,7 @@ pub(crate) fn ship_setup<T: Wire>(
     shards: &[Vec<T>],
     weight: u64,
 ) {
-    let Some((state, pool)) = backend.wire_parts() else {
+    let Some(state) = backend.wire_state() else {
         return; // sim: shards are already "everywhere" — one address space
     };
     let t0 = Instant::now();
@@ -579,20 +484,9 @@ pub(crate) fn ship_setup<T: Wire>(
     state.stats.encode_s += t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    match pool {
-        None => {
-            let WireState { arenas, rx, .. } = state;
-            for arena in arenas.iter() {
-                rx.extend_from_slice(arena);
-            }
-        }
-        Some(pool) => {
-            let WireState { arenas, rx, .. } = state;
-            for (machine, arena) in arenas.iter().enumerate() {
-                pool.ship_shard(machine, arena);
-                rx.extend_from_slice(arena);
-            }
-        }
+    let WireState { arenas, rx, .. } = state;
+    for arena in arenas.iter() {
+        rx.extend_from_slice(arena);
     }
     state.stats.transit_s += t1.elapsed().as_secs_f64();
 

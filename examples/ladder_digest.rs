@@ -35,7 +35,7 @@ impl Fnv {
 
 fn main() {
     // The dim=32 config matters for the speed tiers: wide rows engage the
-    // SoA/sketch fast paths (dim ≥ 16), so diffing this output across
+    // SoA fast path (dim ≥ 16), so diffing this output across
     // `KCENTER_SPEED` values actually exercises them; the dim=3 configs
     // pin the narrow-row kernels.
     for (n, dim, m, k, seed) in [
@@ -87,12 +87,10 @@ fn main() {
             // answered (stdout above) must not be.
             if let Some(ks) = &res.telemetry.kernels {
                 eprintln!(
-                    "  kernels(t={threads} tier={}): {}r/{}i sketch_rejects={} \
-                     exact_fallbacks={}",
+                    "  kernels(t={threads} tier={}): {}r/{}i exact_fallbacks={}",
                     space.speed_tier().name(),
                     ks.run_pairs,
                     ks.indexed_pairs,
-                    ks.sketch_rejects,
                     ks.exact_fallbacks
                 );
             }
@@ -101,7 +99,7 @@ fn main() {
 
     // Grid-engine digest: the same bit-exactness contract for the spatial
     // hashing engine. The grid ladder touches only exact f64 distances
-    // (never the SoA/sketch fast paths), so these stdout lines must be
+    // (never the SoA fast path), so these stdout lines must be
     // identical across `KCENTER_SPEED` tiers too — CI diffs them together
     // with the all-pairs lines above.
     for (n, dim, m, k, seed) in [
@@ -197,15 +195,14 @@ fn main() {
             println!(
                 "transport-parity n={n} dim={dim} m={m} k={k} seed={seed} t={threads} \
                  radius={:016x} rounds={} ledger_fnv={:016x} wire_rounds={} \
-                 payload_bytes={} overhead_bytes={} setup_bytes={} violations={}",
+                 payload_bytes={} overhead_bytes={} setup_bytes={}",
                 loop_res.radius.to_bits(),
                 loop_ledger.rounds(),
                 h.0,
                 wire.rounds,
                 wire.payload_bytes,
                 wire.overhead_bytes,
-                wire.setup_bytes,
-                wire.conformance_violations
+                wire.setup_bytes
             );
             eprintln!(
                 "  wire(t={threads}): frames={} encode={:.4}s decode={:.4}s transit={:.4}s \

@@ -105,8 +105,8 @@ fn main() {
     // go to stderr — CI's byte-diff watches stdout only.
     match index.space().kernel_stats() {
         Some(k) => eprintln!(
-            "kernel tallies: {} run / {} indexed, {} sketch rejects, {} exact fallbacks",
-            k.run_pairs, k.indexed_pairs, k.sketch_rejects, k.exact_fallbacks
+            "kernel tallies: {} run / {} indexed, {} exact fallbacks",
+            k.run_pairs, k.indexed_pairs, k.exact_fallbacks
         ),
         None => eprintln!("kernel tallies: none (exact tier)"),
     }

@@ -351,6 +351,17 @@ mod tests {
     use super::{pool, with_threads};
 
     #[test]
+    fn thread_env_values_are_validated() {
+        assert_eq!(pool::parse_threads_env(None), Ok(None));
+        assert_eq!(pool::parse_threads_env(Some(" ")), Ok(None));
+        assert_eq!(pool::parse_threads_env(Some("2")), Ok(Some(2)));
+        for bad in ["0", "zero", "-1", "2.5"] {
+            let err = pool::parse_threads_env(Some(bad)).unwrap_err();
+            assert!(err.contains("integer >= 1"), "{err}");
+        }
+    }
+
+    #[test]
     fn map_collect_matches_sequential() {
         let v = [1u32, 2, 3, 4];
         let doubled: Vec<u32> = v.par_iter().map(|&x| x * 2).collect();

@@ -54,22 +54,33 @@ pub fn chunk_range(n_items: usize, n_chunks: usize, c: usize) -> Range<usize> {
     (c * n_items / n_chunks)..((c + 1) * n_items / n_chunks)
 }
 
-fn env_threads() -> Option<usize> {
-    std::env::var("KCENTER_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
+/// Parses an optional `KCENTER_THREADS` value: unset or empty means
+/// `Ok(None)` (use the machine's parallelism), otherwise it must be an
+/// integer ≥ 1. The error names the allowed values.
+pub fn parse_threads_env(value: Option<&str>) -> Result<Option<usize>, String> {
+    match value.map(str::trim).unwrap_or("") {
+        "" => Ok(None),
+        s => match s.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "KCENTER_THREADS={s:?} is not a thread count (expected an integer >= 1)"
+            )),
+        },
+    }
 }
 
-/// The process-default thread count: `KCENTER_THREADS` if set (≥ 1), else
-/// the machine's available parallelism; capped at [`MAX_THREADS`]. Read
-/// once and cached.
+/// The process-default thread count: `KCENTER_THREADS` if set, else the
+/// machine's available parallelism; capped at [`MAX_THREADS`]. Read once
+/// and cached.
+///
+/// # Panics
+/// If `KCENTER_THREADS` is set to anything but an integer ≥ 1.
 pub fn default_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        env_threads()
+        let value = std::env::var("KCENTER_THREADS").ok();
+        parse_threads_env(value.as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())

@@ -39,12 +39,11 @@ fn main() -> ExitCode {
         print!("{HELP}");
         return ExitCode::SUCCESS;
     }
-    // Hidden entry point: the KCENTER_TRANSPORT=process coordinator spawns
-    // this binary as the per-machine worker; it serves the pipe protocol on
-    // stdin/stdout until shutdown (see mpc_sim::process). Not in --help —
-    // it is an implementation detail of the transport, not a CLI feature.
-    if args[0] == "transport-worker" {
-        return mpc_clustering::sim::transport_worker_main();
+    // The KCENTER_* readers panic on a bad value at first use; report it
+    // as a CLI error before any of them runs.
+    if let Err(e) = mpc_clustering::core::check_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     match run(args) {
         Ok(()) => ExitCode::SUCCESS,

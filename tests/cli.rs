@@ -160,6 +160,39 @@ fn bad_parameters_are_cli_errors() {
     );
 }
 
+/// Removed and misspelled `KCENTER_*` values (set on the child process
+/// only) are rejected at startup with an `error:` line naming the variable
+/// and its allowed values — never a panic, never a silent default.
+#[test]
+fn removed_and_unknown_env_values_are_cli_errors() {
+    let pts = tmp("env-points.csv");
+    bin()
+        .args(["gen", "--n", "40", "--seed", "4", "--out"])
+        .arg(&pts)
+        .status()
+        .unwrap();
+    for (var, value, allowed) in [
+        ("KCENTER_SPEED", "soa+sketch", "exact, soa"),
+        ("KCENTER_TRANSPORT", "process", "sim, loopback"),
+        ("KCENTER_THREADS", "zero", "integer >= 1"),
+        ("KCENTER_ENGINE", "gird", "allpairs, all-pairs, grid, auto"),
+    ] {
+        let out = bin()
+            .args(["kcenter", "--k", "3", "--input"])
+            .arg(&pts)
+            .env(var, value)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var), "{var}={value}: {stderr}");
+        assert!(stderr.contains(allowed), "{var}={value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{var}={value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value}: no output expected");
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = bin().arg("--help").output().unwrap();

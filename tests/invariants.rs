@@ -1,8 +1,8 @@
 //! Property-based tests (proptest) on the paper's core invariants, driven
 //! by randomly generated instances.
 
-use mpc_clustering::baselines::exact::{exact_diversity, exact_kcenter};
-use mpc_clustering::core::{diversity, gmm::gmm, kbmis::k_bounded_mis, kcenter, Params};
+use mpc_clustering::baselines::exact::{exact_diversity, exact_kcenter, exact_ksupplier};
+use mpc_clustering::core::{diversity, gmm::gmm, kbmis::k_bounded_mis, kcenter, ksupplier, Params};
 use mpc_clustering::graph::verify::{is_independent, is_k_bounded_mis};
 use mpc_clustering::graph::ThresholdGraph;
 use mpc_clustering::metric::{
@@ -92,6 +92,29 @@ proptest! {
         let dv = diversity::mpc_diversity(&metric, k, &params);
         prop_assert!(dv.diversity >= opt_d / (2.0 * (1.0 + eps)) - 1e-9,
             "diversity {} vs opt {opt_d}", dv.diversity);
+    }
+
+    /// Algorithm 6's 3(1+ε) guarantee against brute force: rows before
+    /// `split` are customers, the rest suppliers.
+    #[test]
+    fn ksupplier_guarantee_small(
+        (points, split, k, seed) in arb_points(18).prop_flat_map(|p| {
+            let n = p.len();
+            (Just(p), 1..n, 1usize..=3, 0u64..200)
+        })
+    ) {
+        let metric = EuclideanSpace::new(points);
+        let n = metric.points().len() as u32;
+        let customers: Vec<u32> = (0..split as u32).collect();
+        let suppliers: Vec<u32> = (split as u32..n).collect();
+        let k = k.min(suppliers.len());
+        let eps = 0.25;
+        let params = Params::practical(2, eps, seed);
+
+        let (opt_r, _) = exact_ksupplier(&metric, &customers, &suppliers, k);
+        let ks = ksupplier::mpc_ksupplier(&metric, &customers, &suppliers, k, &params);
+        prop_assert!(ks.radius <= 3.0 * (1.0 + eps) * opt_r + 1e-9,
+            "k-supplier {} vs opt {opt_r}", ks.radius);
     }
 
     /// The diversity value reported always matches the subset returned,
