@@ -51,6 +51,12 @@ impl<M: MetricSpace> ThresholdGraph<M> {
     pub fn metric(&self) -> &M {
         &self.metric
     }
+
+    /// Whether the metric counts `v` within threshold of itself, i.e.
+    /// whether the count kernels included `v`'s self-pairs.
+    fn self_within(&self, v: u32) -> bool {
+        self.metric.within(PointId(v), PointId(v), self.tau)
+    }
 }
 
 impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
@@ -64,11 +70,15 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
     }
 
     /// Forwards the whole batch to the metric's [`MetricSpace::count_within`]
-    /// kernel, then subtracts the self-pairs the kernel counted: τ ≥ 0 means
-    /// every occurrence of `v` itself in `candidates` is within threshold,
-    /// but the graph is irreflexive.
+    /// kernel, then subtracts the self-pairs the kernel counted: the graph
+    /// is irreflexive, and every occurrence of `v` itself in `candidates`
+    /// was counted iff `within(v, v, τ)` — true for τ ≥ 0 on finite
+    /// points, false for a point with a non-finite coordinate.
     fn degree_among(&self, v: u32, candidates: &[u32]) -> usize {
         let within = self.metric.count_within(PointId(v), candidates, self.tau);
+        if !self.self_within(v) {
+            return within;
+        }
         let selfs = candidates.iter().filter(|&&c| c == v).count();
         within - selfs
     }
@@ -83,13 +93,13 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
     }
 
     /// One multi-query metric kernel call for the whole grid
-    /// ([`MetricSpace::count_within_many`] — tiled, and SIMD-classified at
-    /// the SoA speed tiers, on coordinate-backed spaces), then a self-pair
-    /// fixup:
-    /// τ ≥ 0 means every occurrence of a query vertex in `candidates` was
-    /// counted within threshold, but the graph is irreflexive. Candidate
-    /// multiplicities are tallied once for the batch (restricted to ids
-    /// that actually occur in `vs`), replacing the per-query self scan.
+    /// ([`MetricSpace::count_within_many`] — tiled, SIMD-classified on
+    /// coordinate-backed spaces), then the self-pair fixup of
+    /// [`GraphView::degree_among`]: occurrences of a query vertex in
+    /// `candidates` are subtracted when it is within threshold of itself.
+    /// Candidate multiplicities are tallied once for the batch (restricted
+    /// to ids that actually occur in `vs`), replacing the per-query self
+    /// scan.
     fn degrees_among(&self, vs: &[u32], candidates: &[u32]) -> Vec<usize> {
         let within = self.metric.count_within_many(vs, candidates, self.tau);
         let mut selfs: HashMap<u32, usize> = vs.iter().map(|&v| (v, 0)).collect();
@@ -98,7 +108,16 @@ impl<M: MetricSpace> GraphView for ThresholdGraph<M> {
                 *count += 1;
             }
         }
-        vs.iter().zip(within).map(|(&v, w)| w - selfs[&v]).collect()
+        vs.iter()
+            .zip(within)
+            .map(|(&v, w)| {
+                if self.self_within(v) {
+                    w - selfs[&v]
+                } else {
+                    w
+                }
+            })
+            .collect()
     }
 
     /// Batched via [`MetricSpace::neighbors_within_many`], dropping
@@ -160,6 +179,28 @@ mod tests {
     fn zero_threshold_isolates_distinct_points() {
         let g = ThresholdGraph::new(line(), 0.0);
         assert!(!g.is_edge(0, 1));
+    }
+
+    #[test]
+    fn non_finite_rows_have_no_self_pairs_to_subtract() {
+        // `within(1, 1, τ)` is false for the inf row (inf − inf = NaN), so
+        // the count kernels never counted its self-pairs.
+        let space = EuclideanSpace::new(PointSet::from_rows(&[
+            vec![0.0, 0.0],
+            vec![f64::INFINITY, 1.0],
+            vec![0.5, 0.0],
+        ]));
+        let g = ThresholdGraph::new(&space, 2.0);
+        let vs = [0u32, 1, 2, 1];
+        let cands = [1u32, 0, 1, 2, 2, 1];
+        let by_edges: Vec<usize> = vs
+            .iter()
+            .map(|&v| cands.iter().filter(|&&c| g.is_edge(v, c)).count())
+            .collect();
+        assert_eq!(by_edges, vec![2, 0, 1, 0]);
+        assert_eq!(g.degrees_among(&vs, &cands), by_edges);
+        let single: Vec<usize> = vs.iter().map(|&v| g.degree_among(v, &cands)).collect();
+        assert_eq!(single, by_edges);
     }
 
     #[test]

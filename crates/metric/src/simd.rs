@@ -1,8 +1,8 @@
-//! Runtime-dispatched SIMD dot products for the Euclidean kernels.
+//! Runtime-dispatched SIMD kernels for the Euclidean threshold tests.
 //!
 //! This module is the **only** unsafe surface in the crate. Everything in
-//! it computes a plain dot product — the building block of both the f64
-//! Gram estimate (PR 4) and the f32 SoA estimate (the `soa` speed tier) —
+//! it computes dot products — the building block of both the exact tier's
+//! packed f64 Gram panels and the f32 SoA estimate (the `soa` speed tier) —
 //! under one discipline:
 //!
 //! * **Runtime detection, cached once.** The widest lane the host supports
@@ -16,15 +16,17 @@
 //!   the exact scalar evaluation. Exact distance-returning paths never call
 //!   this module.
 //! * **Debug-asserted scalar equivalence.** In debug builds every dispatch
-//!   checks the lane result against a widened serial fold, to the γ-style
-//!   accumulation bound. A failure means a broken kernel, not rounding.
+//!   checks the lane result against a scalar reference: the f32 folds to
+//!   the γ-style accumulation bound, the single-FMA-chain kernels
+//!   ([`classify_f32_run`], [`classify_f64_panel`]) bit-for-bit against a
+//!   scalar `mul_add` fold. A failure means a broken kernel, not rounding.
 //!
 //! Lanes: AVX-512F (16×f32, behind the `avx512` cargo feature), AVX2+FMA
 //! (8×f32 / 4×f64), and a multi-accumulator baseline that rustc
 //! auto-vectorizes to SSE2 on the default `x86-64` target (plain scalar on
-//! other architectures). f64 uses the AVX2 path even on AVX-512 hosts: the
-//! f64 dot only feeds the Gram estimate for wide rows, where it is
-//! memory-bound, so the extra lanes buy nothing.
+//! other architectures). The f64 panel kernel uses the AVX2 body even on
+//! AVX-512 hosts, so its dots — and the debug reference — are one FMA
+//! chain per candidate on every x86 lane.
 
 use std::sync::OnceLock;
 
@@ -76,25 +78,6 @@ pub fn lane() -> Lane {
     *LANE.get_or_init(detect)
 }
 
-/// f64 dot product on the widest available lane. Feeds the Gram
-/// **estimate** only — see the module docs for why reordering is safe.
-#[inline]
-pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let dot = match lane() {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe { x86::dot_f64_avx2_fma(a, b) }
-        }
-        _ => dot_f64_baseline(a, b),
-    };
-    #[cfg(debug_assertions)]
-    assert_close_f64(dot, a, b);
-    dot
-}
-
 /// f32 dot product on the widest available lane. Feeds the SoA f32
 /// **estimate** only — verdicts inside the f32 error band are re-decided
 /// with the exact f64 evaluation by the caller.
@@ -121,40 +104,14 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     dot
 }
 
-/// Batched indexed f64 dot products: `out[i] = ⟨q, rows[idx[i]]⟩` where
-/// `rows` is a row-major slab of `dim`-wide rows. One dispatch and one
-/// call-frame per **tile** instead of per pair — `#[target_feature]`
-/// functions cannot be inlined into generic callers, so the per-pair
-/// variant pays call + horizontal-sum overhead that dominates at d≈32.
-/// Same estimate-only contract as [`dot_f64`].
-#[inline]
-pub fn dots_f64_indexed(q: &[f64], rows: &[f64], dim: usize, idx: &[u32], out: &mut [f64]) {
-    debug_assert_eq!(idx.len(), out.len());
-    match lane() {
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 | Lane::Avx2Fma => {
-            // SAFETY: `lane()` only returns these after runtime detection
-            // of AVX2 + FMA on this host.
-            unsafe { x86::dots_f64_indexed_avx2_fma(q, rows, dim, idx, out) }
-        }
-        _ => {
-            for (o, &c) in out.iter_mut().zip(idx) {
-                let r = &rows[c as usize * dim..c as usize * dim + dim];
-                *o = dot_f64_baseline(q, r);
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    for (o, &c) in out.iter().zip(idx) {
-        assert_close_f64(*o, q, &rows[c as usize * dim..c as usize * dim + dim]);
-    }
-}
-
-/// Batched indexed f32 dot products — the f32 twin of
-/// [`dots_f64_indexed`], and the SoA tiers' hot loop. The AVX2 path blocks
-/// four candidates per iteration so each query-register load is reused
-/// fourfold and the four independent FMA chains hide the FMA latency.
-/// Same estimate-only contract as [`dot_f32`].
+/// Batched indexed f32 dot products: `out[i] = ⟨q, rows[idx[i]]⟩` where
+/// `rows` is a row-major slab of `dim`-wide rows — the SoA tier's hot loop.
+/// One dispatch and one call-frame per **tile** instead of per pair:
+/// `#[target_feature]` functions cannot be inlined into generic callers.
+/// The AVX2 path blocks four candidates per iteration so each
+/// query-register load is reused fourfold and the four independent FMA
+/// chains hide the FMA latency. Same estimate-only contract as
+/// [`dot_f32`].
 #[inline]
 pub fn dots_f32_indexed(q: &[f32], rows: &[f32], dim: usize, idx: &[u32], out: &mut [f32]) {
     debug_assert_eq!(idx.len(), out.len());
@@ -324,13 +281,160 @@ pub fn classify_f32_run(
     }
 }
 
+/// Candidates per block of [`classify_f64_panel`]: eight independent
+/// 4-lane f64 FMA chains. One `keep` / `exact` mask word covers one block.
+pub const PANEL_BLOCK: usize = 32;
+
+/// The exact tier's wide-row pair decision for one query against one
+/// packed candidate panel, classified and reduced to bit masks in a single
+/// pass.
+///
+/// `panel` is dimension-major (`panel[d * stride + j]` is candidate `j`'s
+/// coordinate `d`, `stride = norms.len()`), `norms[j]` its f64 squared
+/// norm; `stride` is `len` rounded up to a multiple of 4 and the padding
+/// lanes are ignored. For candidate `j`, bit `j % 32` of word `j / 32` is
+/// set in `keep` when the Gram estimate certifies `dist² ≤ t2`, in `exact`
+/// when the estimate falls inside its error band (or is NaN) and the
+/// caller must re-decide with the exact diff evaluation; neither bit is set
+/// for a certified reject. The judgment is [`classify_f64`]'s.
+///
+/// Each candidate's dot is a **single FMA chain over ascending `d`**,
+/// starting from `0.0`, on every lane: the AVX2 body broadcasts one query
+/// coordinate per step into eight 4-lane chains over 32 consecutive
+/// candidates (no gathers, no horizontal sums); the portable body folds
+/// with `f64::mul_add`. Both produce the same dots bit-for-bit, and debug
+/// builds check every lane against a scalar `mul_add` fold. The chain's
+/// error is at most `d·u·Σ|aᵢbᵢ| ≤ d·u·(na + nb)/2`, well inside the
+/// `(4d + 32)·ε` band the caller passes, so band fallbacks still catch
+/// every pair the estimate cannot decide.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn classify_f64_panel(
+    q: &[f64],
+    na: f64,
+    panel: &[f64],
+    norms: &[f64],
+    len: usize,
+    t2: f64,
+    band_scale: f64,
+    keep: &mut [u32],
+    exact: &mut [u32],
+) {
+    let stride = norms.len();
+    assert!(
+        stride == len.next_multiple_of(4)
+            && panel.len() == q.len() * stride
+            && keep.len() == len.div_ceil(PANEL_BLOCK)
+            && exact.len() == keep.len(),
+        "malformed f64 panel"
+    );
+    #[cfg(debug_assertions)]
+    let mut dots = vec![0.0f64; stride];
+    #[cfg(debug_assertions)]
+    let dots_out = Some(&mut dots[..]);
+    #[cfg(not(debug_assertions))]
+    let dots_out = None;
+    match lane() {
+        #[cfg(target_arch = "x86_64")]
+        Lane::Avx512 | Lane::Avx2Fma => {
+            // SAFETY: `lane()` only returns these after runtime detection
+            // of AVX2 + FMA on this host; the assert above establishes the
+            // panel shape the body indexes by.
+            unsafe {
+                x86::classify_f64_panel_avx2_fma(
+                    q, na, panel, norms, len, t2, band_scale, keep, exact, dots_out,
+                )
+            }
+        }
+        _ => classify_f64_panel_portable(
+            q, na, panel, norms, len, t2, band_scale, keep, exact, dots_out,
+        ),
+    }
+    #[cfg(debug_assertions)]
+    for j in 0..stride {
+        let bit = 1u32 << (j % PANEL_BLOCK);
+        let (k, e) = (
+            keep[j / PANEL_BLOCK] & bit != 0,
+            exact[j / PANEL_BLOCK] & bit != 0,
+        );
+        if j >= len {
+            assert!(!k && !e, "classify_f64_panel set a padding lane ({j})");
+            continue;
+        }
+        let want = panel_dot(q, panel, stride, j);
+        assert!(
+            dots[j].to_bits() == want.to_bits() || (dots[j].is_nan() && want.is_nan()),
+            "classify_f64_panel dot diverged from the mul_add fold (candidate {j}): {} vs {want}",
+            dots[j]
+        );
+        let class = classify_f64(want, norms[j], na, t2, band_scale);
+        assert_eq!(
+            (k, e),
+            (class == CLASS_KEEP, class == CLASS_EXACT),
+            "classify_f64_panel diverged from scalar judgment (candidate {j})"
+        );
+    }
+}
+
+/// Candidate `j`'s dot with `q` as one `mul_add` chain over ascending `d` —
+/// the order every lane of [`classify_f64_panel`] accumulates in.
+/// (`f64::mul_add` is correctly rounded whether it lowers to the FMA
+/// instruction or libm.)
+#[inline]
+fn panel_dot(q: &[f64], panel: &[f64], stride: usize, j: usize) -> f64 {
+    q.iter()
+        .enumerate()
+        .fold(0.0f64, |acc, (d, &x)| panel[d * stride + j].mul_add(x, acc))
+}
+
+/// Portable body of [`classify_f64_panel`], for hosts without AVX2 + FMA.
+/// When `dots` is given, it receives every candidate's dot.
+#[allow(clippy::too_many_arguments)]
+fn classify_f64_panel_portable(
+    q: &[f64],
+    na: f64,
+    panel: &[f64],
+    norms: &[f64],
+    len: usize,
+    t2: f64,
+    band_scale: f64,
+    keep: &mut [u32],
+    exact: &mut [u32],
+    mut dots: Option<&mut [f64]>,
+) {
+    keep.fill(0);
+    exact.fill(0);
+    for j in 0..len {
+        let dot = panel_dot(q, panel, norms.len(), j);
+        if let Some(out) = dots.as_deref_mut() {
+            out[j] = dot;
+        }
+        let bit = 1u32 << (j % PANEL_BLOCK);
+        match classify_f64(dot, norms[j], na, t2, band_scale) {
+            CLASS_KEEP => keep[j / PANEL_BLOCK] |= bit,
+            CLASS_EXACT => exact[j / PANEL_BLOCK] |= bit,
+            _ => {}
+        }
+    }
+}
+
 /// The scalar banded judgment shared by [`classify_f32_indexed`]'s
-/// baseline path and debug assertions. Must mirror the vector path's f64
-/// operation sequence exactly.
+/// baseline path and debug assertions: [`classify_f64`] on the widened
+/// f32 dot and norm.
 #[inline(always)]
 fn classify_one(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
-    let nsum = na + nb32 as f64;
-    let est = nsum - 2.0 * dot as f64;
+    classify_f64(dot as f64, nb32 as f64, na, t2, band_scale)
+}
+
+/// The banded Gram judgment in f64: `est = (na + nb) − 2·dot` against the
+/// band `band_scale · (na + nb + t2)`. Every vector classifier runs this
+/// exact operation sequence lane-wise, so a scalar replay with the same
+/// dot reproduces its class. NaNs fail both compares and classify
+/// [`CLASS_EXACT`].
+#[inline(always)]
+fn classify_f64(dot: f64, nb: f64, na: f64, t2: f64, band_scale: f64) -> u8 {
+    let nsum = na + nb;
+    let est = nsum - 2.0 * dot;
     let band = band_scale * (nsum + t2);
     if est <= t2 - band {
         CLASS_KEEP
@@ -341,30 +445,11 @@ fn classify_one(dot: f32, nb32: f32, na: f64, t2: f64, band_scale: f64) -> u8 {
     }
 }
 
-/// Dot product with four independent f64 accumulators. A single-accumulator
-/// loop is a serial FP add chain the compiler must not reorder (adds aren't
-/// associative), capping it at one add per cycle; splitting the chain four
-/// ways lets it vectorize on the SSE2 baseline. The order is a fixed
-/// function of the slice, so determinism is untouched.
-#[inline]
-fn dot_f64_baseline(a: &[f64], b: &[f64]) -> f64 {
-    let split = a.len() & !3;
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a[..split].chunks_exact(4).zip(b[..split].chunks_exact(4)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    let mut dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in a[split..].iter().zip(&b[split..]) {
-        dot += x * y;
-    }
-    dot
-}
-
-/// Eight-accumulator f32 twin of [`dot_f64_baseline`] (two SSE2 registers'
-/// worth of f32 lanes).
+/// Dot product with eight independent f32 accumulators (two SSE2 registers'
+/// worth of lanes). A single-accumulator loop is a serial FP add chain the
+/// compiler must not reorder; splitting it lets it vectorize on the SSE2
+/// baseline. The order is a fixed function of the slice, so determinism is
+/// untouched.
 #[inline]
 fn dot_f32_baseline(a: &[f32], b: &[f32]) -> f32 {
     let split = a.len() & !7;
@@ -381,30 +466,10 @@ fn dot_f32_baseline(a: &[f32], b: &[f32]) -> f32 {
     dot
 }
 
-/// Debug-only scalar-equivalence check: the lane result must match a serial
-/// f64 fold to within the γ-style accumulation bound `(n + 8)·2ε·Σ|aᵢbᵢ|`.
-/// Anything worse is a broken kernel, not rounding.
-#[cfg(debug_assertions)]
-fn assert_close_f64(dot: f64, a: &[f64], b: &[f64]) {
-    let mut serial = 0.0f64;
-    let mut mag = 0.0f64;
-    for (x, y) in a.iter().zip(b) {
-        let p = x * y;
-        serial += p;
-        mag += p.abs();
-    }
-    if !serial.is_finite() || !mag.is_finite() {
-        return; // non-finite inputs: callers re-decide exactly anyway
-    }
-    let tol = (a.len() as f64 + 8.0) * 2.0 * f64::EPSILON * mag + f64::MIN_POSITIVE;
-    assert!(
-        (dot - serial).abs() <= tol,
-        "SIMD f64 dot diverged from scalar: {dot} vs {serial} (tol {tol})"
-    );
-}
-
-/// f32 twin of [`assert_close_f64`]; the serial reference accumulates in
-/// f64 so the bound only has to cover the lane's own f32 rounding.
+/// Debug-only scalar-equivalence check: the f32 lane result must match a
+/// serial fold — accumulated in f64, so the bound only has to cover the
+/// lane's own f32 rounding — to within `(n + 8)·2ε·Σ|aᵢbᵢ|`. Anything
+/// worse is a broken kernel, not rounding.
 #[cfg(debug_assertions)]
 fn assert_close_f32(dot: f32, a: &[f32], b: &[f32]) {
     let mut serial = 0.0f64;
@@ -426,45 +491,6 @@ fn assert_close_f32(dot: f32, a: &[f32], b: &[f32]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_f64_avx2_fma(a: &[f64], b: &[f64]) -> f64 {
-        use std::arch::x86_64::*;
-        let n = a.len();
-        debug_assert_eq!(n, b.len());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let a0 = _mm256_loadu_pd(a.as_ptr().add(i));
-            let b0 = _mm256_loadu_pd(b.as_ptr().add(i));
-            acc0 = _mm256_fmadd_pd(a0, b0, acc0);
-            let a1 = _mm256_loadu_pd(a.as_ptr().add(i + 4));
-            let b1 = _mm256_loadu_pd(b.as_ptr().add(i + 4));
-            acc1 = _mm256_fmadd_pd(a1, b1, acc1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            let a0 = _mm256_loadu_pd(a.as_ptr().add(i));
-            let b0 = _mm256_loadu_pd(b.as_ptr().add(i));
-            acc0 = _mm256_fmadd_pd(a0, b0, acc0);
-            i += 4;
-        }
-        let acc = _mm256_add_pd(acc0, acc1);
-        let lo = _mm256_castpd256_pd128(acc);
-        let hi = _mm256_extractf128_pd(acc, 1);
-        let pair = _mm_add_pd(lo, hi);
-        let one = _mm_add_sd(pair, _mm_unpackhi_pd(pair, pair));
-        let mut dot = _mm_cvtsd_f64(one);
-        while i < n {
-            dot += a.get_unchecked(i) * b.get_unchecked(i);
-            i += 1;
-        }
-        dot
-    }
-
     /// # Safety
     /// Caller must ensure the host supports AVX2 and FMA (see
     /// [`super::lane`]).
@@ -504,25 +530,6 @@ mod x86 {
             i += 1;
         }
         dot
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA (see
-    /// [`super::lane`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dots_f64_indexed_avx2_fma(
-        q: &[f64],
-        rows: &[f64],
-        dim: usize,
-        idx: &[u32],
-        out: &mut [f64],
-    ) {
-        // `dot_f64_avx2_fma` inlines here (same target features), so the
-        // whole tile runs in one call frame.
-        for (o, &c) in out.iter_mut().zip(idx) {
-            let r = &rows[c as usize * dim..c as usize * dim + dim];
-            *o = dot_f64_avx2_fma(q, r);
-        }
     }
 
     /// # Safety
@@ -742,6 +749,140 @@ mod x86 {
         }
     }
 
+    /// Broadcast thresholds of one [`classify_f64_panel_avx2_fma`] call.
+    struct Judge {
+        na: std::arch::x86_64::__m256d,
+        t2: std::arch::x86_64::__m256d,
+        two: std::arch::x86_64::__m256d,
+        scale: std::arch::x86_64::__m256d,
+    }
+
+    /// AVX2 body of [`super::classify_f64_panel`]: 32-candidate blocks of
+    /// eight FMA chains, then one block each of four, two and one chains
+    /// for the ragged tail. Padding lanes past `len` are cleared from the
+    /// last mask word. When `dots` is given, it receives every lane's dot.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2 and FMA (see
+    /// [`super::lane`]), that `norms.len()` is `len` rounded up to a
+    /// multiple of 4, `panel.len() == q.len() * norms.len()`, `keep` and
+    /// `exact` hold `len.div_ceil(32)` words, and `dots`, if given, at
+    /// least `norms.len()` values.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn classify_f64_panel_avx2_fma(
+        q: &[f64],
+        na: f64,
+        panel: &[f64],
+        norms: &[f64],
+        len: usize,
+        t2: f64,
+        band_scale: f64,
+        keep: &mut [u32],
+        exact: &mut [u32],
+        dots: Option<&mut [f64]>,
+    ) {
+        use super::PANEL_BLOCK;
+        use std::arch::x86_64::*;
+        let stride = norms.len();
+        let dots = dots.map_or(std::ptr::null_mut(), |d| d.as_mut_ptr());
+        let judge = Judge {
+            na: _mm256_set1_pd(na),
+            t2: _mm256_set1_pd(t2),
+            two: _mm256_set1_pd(2.0),
+            scale: _mm256_set1_pd(band_scale),
+        };
+        let (p, nb) = (panel.as_ptr(), norms.as_ptr());
+        let mut i = 0;
+        while i + PANEL_BLOCK <= stride {
+            let (k, e) = panel_block::<8>(q, p, nb, stride, i, &judge, dots);
+            keep[i / PANEL_BLOCK] = k;
+            exact[i / PANEL_BLOCK] = e;
+            i += PANEL_BLOCK;
+        }
+        if i < stride {
+            let w = i / PANEL_BLOCK;
+            let (mut k, mut e) = (0u32, 0u32);
+            if stride - i >= 16 {
+                let (bk, be) = panel_block::<4>(q, p, nb, stride, i, &judge, dots);
+                k |= bk << (i % PANEL_BLOCK);
+                e |= be << (i % PANEL_BLOCK);
+                i += 16;
+            }
+            if stride - i >= 8 {
+                let (bk, be) = panel_block::<2>(q, p, nb, stride, i, &judge, dots);
+                k |= bk << (i % PANEL_BLOCK);
+                e |= be << (i % PANEL_BLOCK);
+                i += 8;
+            }
+            if stride - i >= 4 {
+                let (bk, be) = panel_block::<1>(q, p, nb, stride, i, &judge, dots);
+                k |= bk << (i % PANEL_BLOCK);
+                e |= be << (i % PANEL_BLOCK);
+            }
+            keep[w] = k;
+            exact[w] = e;
+        }
+        if !len.is_multiple_of(PANEL_BLOCK) {
+            let valid = u32::MAX >> (PANEL_BLOCK - len % PANEL_BLOCK);
+            keep[len / PANEL_BLOCK] &= valid;
+            exact[len / PANEL_BLOCK] &= valid;
+        }
+    }
+
+    /// `CHAINS` 4-lane FMA chains over the `4·CHAINS` panel lanes starting
+    /// at `i`, then [`super::classify_f64`]'s operation sequence lane-wise.
+    /// Returns the keep and exact bits of those lanes, lowest lane first.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2 and FMA, that `panel`
+    /// points at a `q.len() × stride` dimension-major slab and `norms` at
+    /// `stride` values with `i + 4·CHAINS <= stride`, and that `dots` is
+    /// null or points at `stride` writable values.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn panel_block<const CHAINS: usize>(
+        q: &[f64],
+        panel: *const f64,
+        norms: *const f64,
+        stride: usize,
+        i: usize,
+        judge: &Judge,
+        dots: *mut f64,
+    ) -> (u32, u32) {
+        use std::arch::x86_64::*;
+        let mut acc = [_mm256_setzero_pd(); CHAINS];
+        for (d, qd) in q.iter().enumerate() {
+            let qd = _mm256_broadcast_sd(qd);
+            let col = panel.add(d * stride + i);
+            for (c, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_pd(_mm256_loadu_pd(col.add(4 * c)), qd, *a);
+            }
+        }
+        let (mut keep, mut exact) = (0u32, 0u32);
+        for (c, &dot) in acc.iter().enumerate() {
+            if !dots.is_null() {
+                _mm256_storeu_pd(dots.add(i + 4 * c), dot);
+            }
+            let nsum = _mm256_add_pd(judge.na, _mm256_loadu_pd(norms.add(i + 4 * c)));
+            let est = _mm256_sub_pd(nsum, _mm256_mul_pd(judge.two, dot));
+            let band = _mm256_mul_pd(judge.scale, _mm256_add_pd(nsum, judge.t2));
+            // Ordered non-signaling compares: false on NaN, like scalar
+            // `<=` / `>`, so NaN estimates classify exact.
+            let k = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(
+                est,
+                _mm256_sub_pd(judge.t2, band),
+            )) as u32;
+            let r = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(
+                est,
+                _mm256_add_pd(judge.t2, band),
+            )) as u32;
+            keep |= k << (4 * c);
+            exact |= (!(k | r) & 0xF) << (4 * c);
+        }
+        (keep, exact)
+    }
+
     /// Banded classification of eight vertically-accumulated f32 dots:
     /// widens each 4-lane half to f64, runs `super::classify_one`'s exact
     /// operation sequence in vectors, and writes the eight `CLASS_*`
@@ -862,18 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_f64_matches_serial_fold() {
-        for n in [0, 1, 3, 4, 7, 8, 15, 16, 33, 64, 100] {
-            let (a, b) = rows(n);
-            let serial: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            let got = dot_f64(&a, &b);
-            let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-            let tol = (n as f64 + 8.0) * 2.0 * f64::EPSILON * mag;
-            assert!((got - serial).abs() <= tol, "n={n}: {got} vs {serial}");
-        }
-    }
-
-    #[test]
     fn dot_f32_matches_widened_serial_fold() {
         for n in [0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100] {
             let (a64, b64) = rows(n);
@@ -897,9 +1026,186 @@ mod tests {
 
     #[test]
     fn empty_and_unit_dots() {
-        assert_eq!(dot_f64(&[], &[]), 0.0);
         assert_eq!(dot_f32(&[], &[]), 0.0);
-        assert_eq!(dot_f64(&[2.0], &[3.5]), 7.0);
         assert_eq!(dot_f32(&[2.0], &[3.5]), 7.0);
+    }
+
+    /// A dimension-major panel of `len` candidates, zero-padded to a
+    /// multiple of 4 lanes, with its squared norms, plus a query row:
+    /// deterministic sign- and magnitude-mixed values.
+    fn panel(dim: usize, len: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let val = |i: usize| ((i.wrapping_mul(2654435761) % 1000) as f64 - 500.0) / 37.0;
+        let stride = len.next_multiple_of(4);
+        let q: Vec<f64> = (0..dim).map(|d| val(7 * d + 3)).collect();
+        let mut cols = vec![0.0; dim * stride];
+        let mut norms = vec![0.0; stride];
+        for j in 0..len {
+            for d in 0..dim {
+                let x = val(j * dim + d + 11);
+                cols[d * stride + j] = x;
+                norms[j] += x * x;
+            }
+        }
+        (q, cols, norms)
+    }
+
+    fn sq_norm(q: &[f64]) -> f64 {
+        q.iter().map(|x| x * x).sum()
+    }
+
+    /// Thresholds for one panel: 0, ∞, the median Gram estimate, and every
+    /// seventh lane's own estimate, which puts that lane inside its band.
+    fn panel_t2s(q: &[f64], cols: &[f64], norms: &[f64], len: usize) -> Vec<f64> {
+        let na = sq_norm(q);
+        let mut est: Vec<f64> = (0..len)
+            .map(|j| na + norms[j] - 2.0 * panel_dot(q, cols, norms.len(), j))
+            .collect();
+        let mut t2s = vec![0.0, f64::INFINITY];
+        t2s.extend(est.iter().step_by(7).copied());
+        est.sort_by(f64::total_cmp);
+        t2s.push(est[len / 2]);
+        t2s
+    }
+
+    fn band_scale(dim: usize) -> f64 {
+        (4.0 * dim as f64 + 32.0) * f64::EPSILON
+    }
+
+    /// Every panel shape — whole 32-lane blocks, every ragged tail, and
+    /// narrow and odd widths — classifies exactly as the scalar judgment
+    /// of the `mul_add` fold (release builds included, where the
+    /// dispatcher's own debug check is compiled out).
+    #[test]
+    fn panel_masks_match_scalar_judgment() {
+        for dim in [1, 3, 16, 17, 32, 33] {
+            for len in 1..=70 {
+                let (q, cols, norms) = panel(dim, len);
+                let na = sq_norm(&q);
+                let words = len.div_ceil(PANEL_BLOCK);
+                for t2 in panel_t2s(&q, &cols, &norms, len) {
+                    let (mut keep, mut exact) = (vec![0; words], vec![0; words]);
+                    let scale = band_scale(dim);
+                    classify_f64_panel(
+                        &q, na, &cols, &norms, len, t2, scale, &mut keep, &mut exact,
+                    );
+                    for j in 0..len {
+                        let dot = panel_dot(&q, &cols, norms.len(), j);
+                        let class = classify_f64(dot, norms[j], na, t2, scale);
+                        let bit = 1 << (j % PANEL_BLOCK);
+                        assert_eq!(
+                            (
+                                keep[j / PANEL_BLOCK] & bit != 0,
+                                exact[j / PANEL_BLOCK] & bit != 0
+                            ),
+                            (class == CLASS_KEEP, class == CLASS_EXACT),
+                            "dim={dim} len={len} t2={t2} lane {j}"
+                        );
+                    }
+                    let lanes = words * PANEL_BLOCK;
+                    if len < lanes {
+                        let pad = !(u32::MAX >> (lanes - len));
+                        assert_eq!((keep[words - 1] & pad, exact[words - 1] & pad), (0, 0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The portable body and the AVX2 body agree bit-for-bit — masks and
+    /// every lane's dot — on every panel shape.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn panel_portable_matches_avx2_body() {
+        if lane() == Lane::Baseline {
+            return; // no AVX2 + FMA on this host: nothing to compare
+        }
+        for dim in [1, 3, 16, 17, 32, 33] {
+            for len in 1..=70 {
+                let (q, cols, norms) = panel(dim, len);
+                let na = sq_norm(&q);
+                let words = len.div_ceil(PANEL_BLOCK);
+                for t2 in panel_t2s(&q, &cols, &norms, len) {
+                    let scale = band_scale(dim);
+                    let (mut k0, mut e0, mut d0) =
+                        (vec![0; words], vec![0; words], vec![0.0; norms.len()]);
+                    classify_f64_panel_portable(
+                        &q,
+                        na,
+                        &cols,
+                        &norms,
+                        len,
+                        t2,
+                        scale,
+                        &mut k0,
+                        &mut e0,
+                        Some(&mut d0),
+                    );
+                    let (mut k1, mut e1, mut d1) =
+                        (vec![0; words], vec![0; words], vec![0.0; norms.len()]);
+                    // SAFETY: the lane check above found AVX2 + FMA, and
+                    // `panel` builds the shape the body requires.
+                    unsafe {
+                        x86::classify_f64_panel_avx2_fma(
+                            &q,
+                            na,
+                            &cols,
+                            &norms,
+                            len,
+                            t2,
+                            scale,
+                            &mut k1,
+                            &mut e1,
+                            Some(&mut d1),
+                        )
+                    };
+                    assert_eq!((&k0, &e0), (&k1, &e1), "dim={dim} len={len} t2={t2}");
+                    let bits = |d: &[f64]| d[..len].iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&d0), bits(&d1), "dim={dim} len={len}");
+                }
+            }
+        }
+    }
+
+    /// Non-finite coordinates make the estimate NaN or the band infinite:
+    /// those lanes, and only those, classify exact.
+    #[test]
+    fn panel_non_finite_lanes_classify_exact() {
+        let (dim, len) = (16, 40);
+        let (mut q, mut cols, mut norms) = panel(dim, len);
+        let stride = norms.len();
+        cols[3 * stride + 5] = f64::INFINITY;
+        norms[5] = f64::INFINITY;
+        cols[7 * stride + 33] = f64::NAN;
+        norms[33] = f64::NAN;
+        let (mut keep, mut exact) = (vec![0; 2], vec![0; 2]);
+        let t2 = 1.0e4;
+        let na = sq_norm(&q);
+        classify_f64_panel(
+            &q,
+            na,
+            &cols,
+            &norms,
+            len,
+            t2,
+            band_scale(dim),
+            &mut keep,
+            &mut exact,
+        );
+        assert_eq!(exact, vec![1 << 5, 1 << 1]);
+        assert_eq!((keep[0] & (1 << 5), keep[1] & (1 << 1)), (0, 0));
+        q[0] = f64::NEG_INFINITY;
+        let na = sq_norm(&q);
+        classify_f64_panel(
+            &q,
+            na,
+            &cols,
+            &norms,
+            len,
+            t2,
+            band_scale(dim),
+            &mut keep,
+            &mut exact,
+        );
+        assert_eq!((keep, exact), (vec![0, 0], vec![u32::MAX, 0xFF]));
     }
 }

@@ -338,3 +338,95 @@ proptest! {
         check_kernels(&m)?;
     }
 }
+
+/// Row widths around the packed f64 panel kernel's shapes: the Gram
+/// threshold itself, odd widths, and multiples of 4, 8 and 16.
+const PANEL_DIMS: [usize; 6] = [16, 17, 31, 32, 33, 48];
+
+/// A wide-row space with a candidate list of 70–300 ids — several packed
+/// panels, whole 32-candidate blocks, and ragged tails — drawn with
+/// replacement from 64–99 points, so ids repeat; plus the dimension.
+fn arb_panel_case() -> impl Strategy<Value = (usize, Vec<Vec<f64>>, Vec<u32>)> {
+    (0..PANEL_DIMS.len()).prop_flat_map(|i| {
+        let dim = PANEL_DIMS[i];
+        (
+            Just(dim),
+            prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 64..100),
+            prop::collection::vec(any::<u32>(), 70..=300),
+        )
+    })
+}
+
+/// Thresholds one ulp either side of, and exactly at, a few query–candidate
+/// distances (these land inside the Gram band and force the exact
+/// fallback), plus -1, 0 and beyond the largest of them.
+fn pair_probe_taus(m: &EuclideanSpace, qs: &[u32], cands: &[u32]) -> Vec<f64> {
+    let mut taus = vec![-1.0, 0.0];
+    let mut max: f64 = 0.0;
+    for &q in &qs[..2] {
+        for c in [cands[1], cands[cands.len() - 2]] {
+            let d = m.dist(PointId(q), PointId(c));
+            taus.extend([d.next_down(), d, d.next_up()]);
+            max = max.max(d);
+        }
+    }
+    taus.push(max + 1.0);
+    taus
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The exact tier's packed-panel kernels on candidate lists that fill
+    /// several panels: every count and neighbor row equals the scalar
+    /// `within` loop, and the rows are identical at 1, 2 and 8 threads
+    /// (the query batch is large enough to split across the pool).
+    #[test]
+    fn euclidean_panel_kernels_match_scalar((dim, rows, picks) in arb_panel_case()) {
+        let n = rows.len() as u32;
+        let m = EuclideanSpace::new(PointSet::from_rows(&rows))
+            .with_speed_tier(mpc_metric::SpeedTier::Exact);
+        let mut cands: Vec<u32> = picks.iter().map(|&p| p % n).collect();
+        cands.push(cands[0]);
+        // 64 queries × ≥ 70 candidates passes the pool's split gate. Some
+        // queries sit inside the candidate list and, when a point was
+        // never picked, some do not.
+        let qs: Vec<u32> = (0..64).collect();
+        for tau in pair_probe_taus(&m, &[cands[0], cands[cands.len() / 2]], &cands) {
+            let scalar: Vec<Vec<u32>> = qs
+                .iter()
+                .map(|&q| {
+                    cands
+                        .iter()
+                        .copied()
+                        .filter(|&c| m.within(PointId(q), PointId(c), tau))
+                        .collect()
+                })
+                .collect();
+            let counts: Vec<usize> = scalar.iter().map(Vec::len).collect();
+            for threads in [1usize, 2, 8] {
+                let (got_counts, got_rows) = rayon::with_threads(threads, || {
+                    (m.count_within_many(&qs, &cands, tau), m.neighbors_within_many(&qs, &cands, tau))
+                });
+                prop_assert_eq!(
+                    &got_counts,
+                    &counts,
+                    "count_within_many vs scalar: dim={} |cands|={} tau={} threads={}",
+                    dim,
+                    cands.len(),
+                    tau,
+                    threads
+                );
+                prop_assert_eq!(
+                    &got_rows,
+                    &scalar,
+                    "neighbors_within_many vs scalar: dim={} |cands|={} tau={} threads={}",
+                    dim,
+                    cands.len(),
+                    tau,
+                    threads
+                );
+            }
+        }
+    }
+}

@@ -279,3 +279,62 @@ proptest! {
         }
     }
 }
+
+/// Row widths around the packed f64 panel kernel's shapes: the Gram
+/// threshold itself, odd widths, and multiples of 4, 8 and 16.
+const PANEL_DIMS: [usize; 6] = [16, 17, 31, 32, 33, 48];
+
+/// 70–300 rows of one of [`PANEL_DIMS`]: every transcript candidate set
+/// but the empty one then spans several panels and full 32-candidate
+/// blocks, with ragged tails.
+fn arb_panel_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (0..PANEL_DIMS.len()).prop_flat_map(|i| {
+        let dim = PANEL_DIMS[i];
+        prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim..=dim), 70..=300)
+    })
+}
+
+/// [`probe_taus`] over a sample of pairs (the full set is quadratic in
+/// the row count): the transcript's first two probes against two
+/// candidates, exactly and one ulp either side, plus -1, 0 and beyond.
+fn sampled_probe_taus(m: &EuclideanSpace) -> Vec<f64> {
+    let n = m.n() as u32;
+    let mut taus = vec![-1.0, 0.0];
+    let mut max: f64 = 0.0;
+    for q in [0, n / 2] {
+        for c in [1, n - 2] {
+            let d = m.dist(PointId(q), PointId(c));
+            taus.extend([d.next_down(), d, d.next_up()]);
+            max = max.max(d);
+        }
+    }
+    taus.push(max + 1.0);
+    taus
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every tier, at 1, 2 and 8 threads, reproduces the exact tier's
+    /// single-threaded transcript on candidate lists that fill several
+    /// panels — including duplicates and queries inside the list.
+    #[test]
+    fn tiers_match_exact_oracle_multi_panel(rows in arb_panel_rows()) {
+        let spaces = spaces(&rows);
+        let taus = sampled_probe_taus(&spaces[0].1);
+        let oracle = with_threads(1, || transcript(&spaces[0].1, &taus));
+        for (tier, space) in &spaces {
+            for threads in [1usize, 2, 8] {
+                prop_assert_eq!(
+                    &with_threads(threads, || transcript(space, &taus)),
+                    &oracle,
+                    "tier {} diverged at {} threads (n={}, dim={})",
+                    tier.name(),
+                    threads,
+                    rows.len(),
+                    rows[0].len()
+                );
+            }
+        }
+    }
+}

@@ -232,8 +232,17 @@ impl DiversityIndex {
     /// evaluations to widen the owning shard's slack. Never rebuilds a
     /// coreset and never rebuilds the f32 SoA mirror (the mirror is
     /// extended in place — see `SoaStorage::push`).
+    ///
+    /// # Panics
+    /// If `coords` does not have the index's arity, or holds a NaN or
+    /// infinite coordinate (no threshold graph over such a point is
+    /// well-defined, so later queries could not be served).
     pub fn insert(&mut self, coords: &[f64]) -> PointId {
         assert_eq!(coords.len(), self.dim, "point arity must match the index");
+        assert!(
+            coords.iter().all(|x| x.is_finite()),
+            "point coordinates must be finite, got {coords:?}"
+        );
         let id = self.space.push_point(coords);
         let shard = &mut self.shards[id.0 as usize % self.params.shards];
         shard.members.push(id.0);
@@ -796,6 +805,14 @@ mod tests {
         // The cache hit must not run the ladder again.
         assert_eq!(snap.cluster.ledger().rounds(), rounds_after_first);
         assert_eq!(snap.kcenter_cache.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "point coordinates must be finite")]
+    fn insert_rejects_non_finite_coordinates() {
+        let mut index = DiversityIndex::new(2, IndexParams::new(1, 4, 3));
+        index.insert(&[0.0, 1.0]);
+        index.insert(&[f64::NAN, 1.0]);
     }
 
     #[test]
